@@ -37,13 +37,13 @@ allocs:
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
 # path, plus one untimed pass over the 400-customer benchmarks so a broken
-# benchmark fails here rather than in a long scripts/bench.sh run.
+# benchmark fails here rather than in a long scripts/bench.sh run. The
+# runner fails when a listed benchmark name matches nothing.
 bench-smoke:
 	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -count 1 -v ./internal/operators/
 	$(GO) test -run 'TestGenerateZeroAlloc' -count 1 -v ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkCandidates400|BenchmarkNeighborhood400|BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
-	  -benchtime 1x ./internal/operators/
-	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
+	GO=$(GO) ./scripts/benchsmoke.sh ./internal/operators/ BenchmarkCandidatesInto400 BenchmarkCandidatesGranular400
+	GO=$(GO) ./scripts/benchsmoke.sh ./internal/core/ BenchmarkSearcherIteration
 
 # metrics-lint boots a real tsmod daemon on an ephemeral port, pushes one
 # traced job through it, scrapes GET /metrics twice, and lints the

@@ -232,9 +232,9 @@ func BenchmarkAblationShareRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOperators measures neighborhood generation with the
-// full operator mix against single-operator generators (the paper draws
-// all five with equal probability).
+// BenchmarkAblationOperators measures one candidate sweep (propose and
+// delta-evaluate) with the full operator mix against single-operator
+// generators (the paper draws all five with equal probability).
 func BenchmarkAblationOperators(b *testing.B) {
 	raw, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 100, Seed: 1})
 	if err != nil {
@@ -249,8 +249,9 @@ func BenchmarkAblationOperators(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			g := operators.NewGenerator(raw, ops)
 			r := rng.New(1)
+			var buf operators.CandidateBuffer
 			for i := 0; i < b.N; i++ {
-				g.Neighborhood(s, r, 100)
+				g.CandidatesInto(&buf, s, r, 100)
 			}
 		})
 	}

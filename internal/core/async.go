@@ -125,7 +125,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		// idle, no results in flight — exactly the state the arrays above
 		// initialize to. Pending candidates and sharing state come from
 		// the checkpoint; the commList shuffle must not re-consume RNG.
-		pending = restorePending(in, rp.Pending)
+		pending = restorePending(in, s.gen, rp.Pending)
 		commList = append(commList[:0], rp.CommList...)
 		initialPhase = rp.InitialPhase
 		shares = rp.Shares
@@ -353,7 +353,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 			b := s.iter / cfg.CheckpointEvery
 			if quiesced && ckptWorkers(p, cfg, workers, b) {
 				st := s.capture(p, b, false)
-				st.Pending = capturePending(in, pending)
+				st.Pending = capturePending(in, s.gen, pending)
 				st.CommList = append([]int(nil), commList...)
 				st.InitialPhase = initialPhase
 				st.Shares = shares

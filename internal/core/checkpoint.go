@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/deme"
+	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -136,6 +137,8 @@ type SearcherState struct {
 // PendingCand is a serialized pending candidate of the asynchronous
 // master. Obj keeps the delta-evaluated objectives the selection logic
 // saw, which may differ in the last ulp from a from-scratch re-evaluation.
+// Op is the Name() of the operator that proposed the move (its funnel
+// telemetry key).
 type PendingCand struct {
 	Routes [][]int             `json:"routes"`
 	Obj    solution.Objectives `json:"obj"`
@@ -526,7 +529,7 @@ func solutionsFromRoutes(in *vrptw.Instance, routes [][][]int) []*solution.Solut
 // capturePending serializes the asynchronous master's pending candidates,
 // materializing each one (value-identical to the lazy materialization a
 // later step would perform).
-func capturePending(in *vrptw.Instance, pending []cand) []PendingCand {
+func capturePending(in *vrptw.Instance, gen *operators.Generator, pending []cand) []PendingCand {
 	out := make([]PendingCand, len(pending))
 	for i := range pending {
 		sol := pending[i].materialize(in)
@@ -534,7 +537,7 @@ func capturePending(in *vrptw.Instance, pending []cand) []PendingCand {
 			Routes: sol.Routes,
 			Obj:    pending[i].obj,
 			Attr:   uint64(pending[i].attr),
-			Op:     pending[i].op,
+			Op:     gen.KindName(pending[i].data.Kind),
 			Born:   pending[i].born,
 		}
 	}
@@ -542,21 +545,37 @@ func capturePending(in *vrptw.Instance, pending []cand) []PendingCand {
 }
 
 // restorePending rebuilds pending candidates as pre-materialized cands
-// carrying their original delta-evaluated objectives.
-func restorePending(in *vrptw.Instance, ps []PendingCand) []cand {
+// carrying their original delta-evaluated objectives. Each keeps only the
+// kind of its move, recovered from the operator name, so the funnel still
+// counts it when selected; an unknown name restores as KindNone (counted
+// nowhere).
+func restorePending(in *vrptw.Instance, gen *operators.Generator, ps []PendingCand) []cand {
 	out := make([]cand, len(ps))
 	for i, pc := range ps {
 		sol := solution.New(in, pc.Routes)
 		out[i] = cand{
+			data: operators.MoveData{Kind: kindNamed(gen, pc.Op)},
 			base: sol,
 			obj:  pc.Obj,
 			sol:  sol,
 			attr: tabu.Attribute(pc.Attr),
-			op:   pc.Op,
 			born: pc.Born,
 		}
 	}
 	return out
+}
+
+// kindNamed is the inverse of Generator.KindName.
+func kindNamed(gen *operators.Generator, name string) operators.MoveKind {
+	if name == "" {
+		return operators.KindNone
+	}
+	for k := operators.KindNone + 1; int(k) < operators.NumKinds; k++ {
+		if gen.KindName(k) == name {
+			return k
+		}
+	}
+	return operators.KindNone
 }
 
 // chunkSeed derives the RNG seed of one asynchronous work chunk from the

@@ -23,12 +23,11 @@ import (
 // materialized — via materialize — when the candidate is selected as the
 // next current solution or enters one of the memories.
 type cand struct {
-	data operators.MoveData  // KindNone only for pre-materialized candidates
+	data operators.MoveData  // only Kind is set on checkpoint-restored (pre-materialized) candidates
 	base *solution.Solution  // the solution the move was proposed on
 	obj  solution.Objectives // delta-evaluated objectives of the result
 	sol  *solution.Solution  // materialized lazily; nil until needed
 	attr tabu.Attribute
-	op   string
 	born int
 }
 
@@ -93,11 +92,11 @@ type searcher struct {
 
 	// Telemetry (all nil when disabled — every recording call below is a
 	// single branch then). tel is the whole layer for event emission, ts
-	// and ops are the hot-path groups, hvRef is the fixed hypervolume
-	// reference point of the periodic front-quality snapshots.
+	// is the hot-path search group (the operator funnel is resolved per
+	// move kind on gen), hvRef is the fixed hypervolume reference point of
+	// the periodic front-quality snapshots.
 	tel   *telemetry.Telemetry
 	ts    *telemetry.SearchStats
-	ops   *telemetry.OpTable
 	hvRef solution.Objectives
 
 	// Tracing (nil when the run carries no recorder). Iterations are far
@@ -247,13 +246,12 @@ func newSearcher(in *vrptw.Instance, cfg *Config, r *rng.Rand, neighborhood, ten
 		archive:      pareto.NewArchive(cfg.ArchiveSize),
 		tel:          cfg.Telemetry,
 		ts:           cfg.Telemetry.SearchGroup(),
-		ops:          cfg.Telemetry.Operators(),
 		tr:           cfg.tracer,
 		phase:        cfg.span,
 	}
 	s.gen.DeltaStats = cfg.Telemetry.DeltaGroup()
 	s.gen.SpliceStats = cfg.Telemetry.SpliceGroup()
-	s.gen.Ops = s.ops
+	s.gen.SetOps(cfg.Telemetry.Operators())
 	if cfg.GranularK > 0 {
 		s.gen.Granular = in.NeighborLists(cfg.GranularK)
 	}
@@ -315,16 +313,15 @@ func (s *searcher) generate(p deme.Proc, n int) []cand {
 			base: s.cur,
 			obj:  obj,
 			attr: d.Attribute(),
-			op:   d.OperatorName(),
 			born: s.iter,
 		}
 		cost += s.cfg.Cost.evalCost(s.in, int(obj.Vehicles))
 	}
-	// ops.Get is not inlinable; keep the disabled path free of the 200
-	// per-candidate calls by hoisting its nil check out of the loop.
-	if s.ops != nil {
+	// Keep the disabled path free of the per-candidate funnel calls by
+	// hoisting the telemetry check out of the loop.
+	if s.tel.Enabled() {
 		for i := range cands {
-			s.ops.Get(cands[i].op).Propose()
+			s.gen.KindStats(cands[i].data.Kind).Propose()
 		}
 	}
 	p.Compute(cost)
@@ -357,7 +354,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 			s.rec.add(s.iter+1, cands[i].born, cands[i].obj, false)
 		}
 	}
-	selectedOp := ""
+	selected := operators.KindNone // stays KindNone on a restart
 	if sel < 0 || s.noImprovement {
 		// Restart from the memories: M_nondom entries are consumed,
 		// archive entries survive.
@@ -382,8 +379,8 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 	} else {
 		s.cur = cands[sel].materialize(s.in)
 		s.tl.Add(cands[sel].attr)
-		selectedOp = cands[sel].op
-		s.ops.Get(selectedOp).Select()
+		selected = cands[sel].data.Kind
+		s.gen.KindStats(selected).Select()
 	}
 	if s.rec != nil {
 		s.rec.add(s.iter+1, s.iter, s.cur.Obj, true)
@@ -400,9 +397,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 	}
 	if s.archive.Add(s.cur) {
 		improved = true
-		if selectedOp != "" {
-			s.ops.Get(selectedOp).Accept()
-		}
+		s.gen.KindStats(selected).Accept() // nil for KindNone
 		if s.shareOn {
 			// Egress capture for the cluster exchange: route slices are
 			// immutable once attached, so sharing them is safe.
@@ -420,7 +415,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 				"vehicles":     s.cur.Obj.Vehicles,
 				"tardiness":    s.cur.Obj.Tardiness,
 				"feasible":     s.cur.Obj.Feasible(),
-				"operator":     selectedOp,
+				"operator":     s.gen.KindName(selected),
 				"archive_size": s.archive.Len(),
 			})
 		}

@@ -115,31 +115,6 @@ func BenchmarkSearcherIterationTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkSearcherIterationMaterialized replays the pre-delta iteration:
-// every neighbor is fully materialized before selection, as the search did
-// before the schedule-cache refactor. Kept as the benchmark baseline.
-func BenchmarkSearcherIterationMaterialized(b *testing.B) {
-	s, p, size := benchSearcher(b, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nbh := s.gen.Neighborhood(s.cur, s.r, size)
-		cands := make([]cand, len(nbh))
-		for j, nb := range nbh {
-			cands[j] = cand{
-				base: s.cur,
-				obj:  nb.Sol.Obj,
-				sol:  nb.Sol, // pre-materialized; the flat move is not needed
-				attr: nb.Move.Attribute(),
-				op:   nb.Move.Operator(),
-				born: s.iter,
-			}
-		}
-		s.evals += len(cands)
-		s.step(p, cands)
-	}
-}
-
 // TestStepMaterializesLazily asserts the lazy-materialization contract: a
 // step over a full neighborhood must apply only a small fraction of the
 // candidate moves (the selected one plus memory-accepted non-dominated

@@ -71,9 +71,9 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		s.gen.MovesInto(&s.buf, s.cur, s.r, s.neighborhood)
 		data := s.buf.Data
 		n := len(data)
-		if s.ops != nil {
+		if s.tel.Enabled() {
 			for i := range data {
-				s.ops.Get(data[i].OperatorName()).Propose()
+				s.gen.KindStats(data[i].Kind).Propose()
 			}
 		}
 		if cap(objs) < n {
@@ -169,7 +169,6 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				base: s.cur,
 				obj:  objs[i],
 				attr: d.Attribute(),
-				op:   d.OperatorName(),
 				born: s.iter,
 			}
 		}

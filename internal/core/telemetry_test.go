@@ -3,9 +3,12 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/deme"
+	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -181,6 +184,52 @@ func TestTelemetryOperatorFunnel(t *testing.T) {
 	}
 	if tel.Splice.Calls.Load() == 0 {
 		t.Error("SpliceMetrics instrument never fired")
+	}
+}
+
+// TestTelemetryOperatorFunnelKeys runs every master-side counting path —
+// the sequential searcher, the synchronous master and the asynchronous
+// workers — with the extended operator set and checks that the funnel has
+// exactly one entry per configured operator, keyed by its Name(): the
+// proposal, selection and acceptance counts land on the same entry as the
+// exhaustions and granular fallbacks of the operator that drew the move.
+func TestTelemetryOperatorFunnelKeys(t *testing.T) {
+	in := testInstance(t, 60)
+	ops := operators.Extended()
+	want := make([]string, len(ops))
+	for i, op := range ops {
+		want[i] = op.Name()
+	}
+	sort.Strings(want)
+	for _, alg := range []Algorithm{Sequential, Synchronous, Asynchronous} {
+		for _, k := range []int{0, 10} {
+			tel := telemetry.New(nil, nil)
+			cfg := smallConfig()
+			cfg.Operators = ops
+			cfg.GranularK = k
+			cfg.Processors = 3
+			cfg.Telemetry = tel
+			if _, err := Run(alg, in, cfg, deme.NewSim(deme.Origin3800())); err != nil {
+				t.Fatalf("%v k=%d: %v", alg, k, err)
+			}
+			snap := tel.Operators().Snapshot()
+			got := make([]string, 0, len(snap))
+			for name, e := range snap {
+				got = append(got, name)
+				if e["proposed"].(int64)+e["exhausted"].(int64) == 0 {
+					t.Errorf("%v k=%d: operator %s has an empty funnel entry: %v", alg, k, name, e)
+				}
+			}
+			sort.Strings(got)
+			if len(got) != len(want) {
+				t.Fatalf("%v k=%d: funnel keys %v, want %v", alg, k, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%v k=%d: funnel keys %v, want %v", alg, k, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -30,8 +30,7 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 	gen := operators.NewGenerator(in, cfg.Operators)
 	gen.DeltaStats = cfg.Telemetry.DeltaGroup()
 	gen.SpliceStats = cfg.Telemetry.SpliceGroup()
-	ops := cfg.Telemetry.Operators()
-	gen.Ops = ops
+	gen.SetOps(cfg.Telemetry.Operators())
 	if cfg.GranularK > 0 {
 		gen.Granular = in.NeighborLists(cfg.GranularK)
 	}
@@ -119,14 +118,13 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 				base: w.cur,
 				obj:  buf.Objs[i],
 				attr: d.Attribute(),
-				op:   d.OperatorName(),
 				born: w.iter,
 			}
 			cost += cfg.Cost.evalCost(in, int(buf.Objs[i].Vehicles))
 		}
-		if ops != nil {
+		if cfg.Telemetry.Enabled() {
 			for i := range cands {
-				ops.Get(cands[i].op).Propose()
+				gen.KindStats(cands[i].data.Kind).Propose()
 			}
 		}
 		p.Compute(cost)

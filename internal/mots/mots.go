@@ -81,6 +81,7 @@ func Run(in *vrptw.Instance, cfg Config) (*Result, error) {
 
 	seeder := rng.New(cfg.Seed)
 	gen := operators.NewGenerator(in, nil)
+	var buf operators.CandidateBuffer
 	archive := pareto.NewArchive(cfg.ArchiveSize)
 
 	points := make([]*point, cfg.Points)
@@ -100,17 +101,17 @@ func Run(in *vrptw.Instance, cfg Config) (*Result, error) {
 			if evals >= cfg.MaxEvaluations {
 				break
 			}
-			cs := gen.Candidates(pt.cur, pt.r, cfg.NeighborhoodSize)
-			if len(cs) == 0 {
+			gen.CandidatesInto(&buf, pt.cur, pt.r, cfg.NeighborhoodSize)
+			if len(buf.Data) == 0 {
 				evals++
 				continue
 			}
-			evals += len(cs)
+			evals += len(buf.Data)
 			best := -1
 			bestVal := math.Inf(1)
-			for k, c := range cs {
-				v := scalarize(c.Obj, weights[i])
-				if pt.tl.Contains(c.Move.Attribute()) && !archive.WouldAccept(c.Obj) {
+			for k, obj := range buf.Objs {
+				v := scalarize(obj, weights[i])
+				if pt.tl.Contains(buf.Data[k].Attribute()) && !archive.WouldAccept(obj) {
 					continue // tabu without archive aspiration
 				}
 				if v < bestVal {
@@ -128,14 +129,14 @@ func Run(in *vrptw.Instance, cfg Config) (*Result, error) {
 			// Materialize only the chosen neighbor and the neighbors
 			// that both dominate it and would enter the archive.
 			prev := pt.cur
-			pt.cur = cs[best].Move.Apply(in, prev)
-			pt.tl.Add(cs[best].Move.Attribute())
-			for k, c := range cs {
+			pt.cur = buf.Data[best].Apply(in, prev)
+			pt.tl.Add(buf.Data[best].Attribute())
+			for k, obj := range buf.Objs {
 				if k == best {
 					continue
 				}
-				if c.Obj.Dominates(pt.cur.Obj) && archive.WouldAccept(c.Obj) {
-					archive.Add(c.Move.Apply(in, prev))
+				if obj.Dominates(pt.cur.Obj) && archive.WouldAccept(obj) {
+					archive.Add(buf.Data[k].Apply(in, prev))
 				}
 			}
 			archive.Add(pt.cur)

@@ -1,6 +1,6 @@
 package operators
 
-// Delta implementations of every move: the objective change is computed
+// Delta implementations of every move kind: the objective change is computed
 // from the proposing solution's schedule cache by splicing cached route
 // segments (solution.Eval.SpliceMetrics) instead of materializing routes.
 // Each delta subtracts the touched routes' cached distance/tardiness from
@@ -14,9 +14,9 @@ import (
 	"repro/internal/vrptw"
 )
 
-// swapRoutes subtracts the cached metrics of routes r1 and r2 from obj and
-// adds the spliced replacements; empty replacements (nil segs) remove the
-// route from the vehicle count.
+// spliceInto subtracts the cached metrics of route r from obj and adds the
+// metrics of the spliced replacement segs; an empty replacement (no segs)
+// removes the route from the vehicle count.
 func spliceInto(obj *solution.Objectives, in *vrptw.Instance, s *solution.Solution, e *solution.Eval, r int, segs ...solution.Seg) {
 	obj.Distance -= s.Dist[r]
 	obj.Tardiness -= s.Tard[r]
@@ -29,80 +29,75 @@ func spliceInto(obj *solution.Objectives, in *vrptw.Instance, s *solution.Soluti
 	obj.Tardiness += t
 }
 
-// Delta implements Move.
-func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	rf, rt := s.Routes[m.from], s.Routes[m.to]
+func deltaRelocate(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	from, fpos, to, tpos, cust := int(d.A), int(d.B), int(d.C), int(d.D), int(d.E)
+	rf, rt := s.Routes[from], s.Routes[to]
 	obj := s.Obj
 	if len(rf) == 1 {
-		spliceInto(&obj, in, s, e, m.from)
+		spliceInto(&obj, in, s, e, from)
 	} else {
-		spliceInto(&obj, in, s, e, m.from,
-			solution.Piece(m.from, 0, m.fpos),
-			solution.Piece(m.from, m.fpos+1, len(rf)))
+		spliceInto(&obj, in, s, e, from,
+			solution.Piece(from, 0, fpos),
+			solution.Piece(from, fpos+1, len(rf)))
 	}
-	spliceInto(&obj, in, s, e, m.to,
-		solution.Piece(m.to, 0, m.tpos),
-		solution.Single(m.cust),
-		solution.Piece(m.to, m.tpos, len(rt)))
-	return obj, true
+	spliceInto(&obj, in, s, e, to,
+		solution.Piece(to, 0, tpos),
+		solution.Single(cust),
+		solution.Piece(to, tpos, len(rt)))
+	return obj
 }
 
-// Delta implements Move.
-func (m exchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	a, b := s.Routes[m.r1], s.Routes[m.r2]
+func deltaExchange(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	r1, p1, r2, p2, c1, c2 := int(d.A), int(d.B), int(d.C), int(d.D), int(d.E), int(d.F)
+	a, b := s.Routes[r1], s.Routes[r2]
 	obj := s.Obj
-	spliceInto(&obj, in, s, e, m.r1,
-		solution.Piece(m.r1, 0, m.p1),
-		solution.Single(m.c2),
-		solution.Piece(m.r1, m.p1+1, len(a)))
-	spliceInto(&obj, in, s, e, m.r2,
-		solution.Piece(m.r2, 0, m.p2),
-		solution.Single(m.c1),
-		solution.Piece(m.r2, m.p2+1, len(b)))
-	return obj, true
+	spliceInto(&obj, in, s, e, r1,
+		solution.Piece(r1, 0, p1),
+		solution.Single(c2),
+		solution.Piece(r1, p1+1, len(a)))
+	spliceInto(&obj, in, s, e, r2,
+		solution.Piece(r2, 0, p2),
+		solution.Single(c1),
+		solution.Piece(r2, p2+1, len(b)))
+	return obj
 }
 
-// Delta implements Move.
-func (m twoOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	route := s.Routes[m.route]
+func deltaTwoOpt(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	ri, i, j := int(d.A), int(d.B), int(d.C)
 	obj := s.Obj
-	spliceInto(&obj, in, s, e, m.route,
-		solution.Piece(m.route, 0, m.i),
-		solution.ReversedPiece(m.route, m.i, m.j+1),
-		solution.Piece(m.route, m.j+1, len(route)))
-	return obj, true
+	spliceInto(&obj, in, s, e, ri,
+		solution.Piece(ri, 0, i),
+		solution.ReversedPiece(ri, i, j+1),
+		solution.Piece(ri, j+1, len(s.Routes[ri])))
+	return obj
 }
 
-// Delta implements Move.
-func (m twoOptStarMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	a, b := s.Routes[m.r1], s.Routes[m.r2]
+func deltaTwoOptStar(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	r1, p1, r2, p2 := int(d.A), int(d.B), int(d.C), int(d.D)
+	a, b := s.Routes[r1], s.Routes[r2]
 	obj := s.Obj
-	if m.p1 == 0 && m.p2 == len(b) {
-		spliceInto(&obj, in, s, e, m.r1) // a's head and b's tail are both empty
+	if p1 == 0 && p2 == len(b) {
+		spliceInto(&obj, in, s, e, r1) // a's head and b's tail are both empty
 	} else {
-		spliceInto(&obj, in, s, e, m.r1,
-			solution.Piece(m.r1, 0, m.p1),
-			solution.Piece(m.r2, m.p2, len(b)))
+		spliceInto(&obj, in, s, e, r1,
+			solution.Piece(r1, 0, p1),
+			solution.Piece(r2, p2, len(b)))
 	}
-	if m.p2 == 0 && m.p1 == len(a) {
-		spliceInto(&obj, in, s, e, m.r2)
+	if p2 == 0 && p1 == len(a) {
+		spliceInto(&obj, in, s, e, r2)
 	} else {
-		spliceInto(&obj, in, s, e, m.r2,
-			solution.Piece(m.r2, 0, m.p2),
-			solution.Piece(m.r1, m.p1, len(a)))
+		spliceInto(&obj, in, s, e, r2,
+			solution.Piece(r2, 0, p2),
+			solution.Piece(r1, p1, len(a)))
 	}
-	return obj, true
-}
-
-// Delta implements Move.
-func (m orOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	return orOptDelta(in, s, e, m.route, m.seg, 2, m.dst)
+	return obj
 }
 
 // orOptDelta computes the delta of moving the length-l segment starting at
-// seg to position dst of the remainder, expressed entirely in original
-// route coordinates so every piece can come from the schedule cache.
-func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, route, seg, l, dst int) (solution.Objectives, bool) {
+// seg to position dst of the remainder (both Or-opt kinds), expressed
+// entirely in original route coordinates so every piece can come from the
+// schedule cache.
+func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, route, seg, l, dst int) solution.Objectives {
 	k := len(s.Routes[route])
 	obj := s.Obj
 	if dst < seg {
@@ -118,39 +113,33 @@ func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, rout
 			solution.Piece(route, seg, seg+l),
 			solution.Piece(route, dst+l, k))
 	}
-	return obj, true
+	return obj
 }
 
-// Delta implements Move.
-func (m orOptNMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	return orOptDelta(in, s, e, m.route, m.seg, m.length, m.dst)
-}
-
-// Delta implements Move.
-func (m relocateNewMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	rf := s.Routes[m.from]
+func deltaRelocateNew(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	from, fpos, cust := int(d.A), int(d.B), int(d.C)
 	obj := s.Obj
-	spliceInto(&obj, in, s, e, m.from,
-		solution.Piece(m.from, 0, m.fpos),
-		solution.Piece(m.from, m.fpos+1, len(rf)))
-	d, t := e.SpliceMetrics(in, solution.Single(m.cust))
-	obj.Distance += d
-	obj.Tardiness += t
+	spliceInto(&obj, in, s, e, from,
+		solution.Piece(from, 0, fpos),
+		solution.Piece(from, fpos+1, len(s.Routes[from])))
+	dist, tard := e.SpliceMetrics(in, solution.Single(cust))
+	obj.Distance += dist
+	obj.Tardiness += tard
 	obj.Vehicles++
-	return obj, true
+	return obj
 }
 
-// Delta implements Move.
-func (m crossExchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	a, b := s.Routes[m.r1], s.Routes[m.r2]
+func deltaCrossExchange(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	r1, p1, l1, r2, p2, l2 := int(d.A), int(d.B), int(d.C), int(d.D), int(d.E), int(d.F)
+	a, b := s.Routes[r1], s.Routes[r2]
 	obj := s.Obj
-	spliceInto(&obj, in, s, e, m.r1,
-		solution.Piece(m.r1, 0, m.p1),
-		solution.Piece(m.r2, m.p2, m.p2+m.l2),
-		solution.Piece(m.r1, m.p1+m.l1, len(a)))
-	spliceInto(&obj, in, s, e, m.r2,
-		solution.Piece(m.r2, 0, m.p2),
-		solution.Piece(m.r1, m.p1, m.p1+m.l1),
-		solution.Piece(m.r2, m.p2+m.l2, len(b)))
-	return obj, true
+	spliceInto(&obj, in, s, e, r1,
+		solution.Piece(r1, 0, p1),
+		solution.Piece(r2, p2, p2+l2),
+		solution.Piece(r1, p1+l1, len(a)))
+	spliceInto(&obj, in, s, e, r2,
+		solution.Piece(r2, 0, p2),
+		solution.Piece(r1, p1, p1+l1),
+		solution.Piece(r2, p2+l2, len(b)))
+	return obj
 }

@@ -13,23 +13,24 @@ const deltaTol = 1e-9
 
 // checkDelta verifies that m.Delta agrees with the objectives of the
 // materialized solution to within deltaTol.
-func checkDelta(t *testing.T, in *vrptw.Instance, s *solution.Solution, e *solution.Eval, m Move, name string) {
+func checkDelta(t *testing.T, in *vrptw.Instance, s *solution.Solution, e *solution.Eval, m MoveData, name string) {
 	t.Helper()
 	got, ok := m.Delta(in, s, e)
 	if !ok {
-		t.Fatalf("%s: Delta reported not computable for %v", name, m)
+		t.Fatalf("%s: Delta reported not computable for %+v", name, m)
 	}
 	want := m.Apply(in, s).Obj
 	if math.Abs(got.Distance-want.Distance) > deltaTol ||
 		got.Vehicles != want.Vehicles ||
 		math.Abs(got.Tardiness-want.Tardiness) > deltaTol {
-		t.Errorf("%s: %v\n  Delta = %+v\n  Apply = %+v", name, m, got, want)
+		t.Errorf("%s: %+v\n  Delta = %+v\n  Apply = %+v", name, m, got, want)
 	}
 }
 
 // TestDeltaMatchesApplyProperty walks random solutions of instances up to
 // the paper's 600-customer size and checks every operator's Delta against
-// full materialization at each step.
+// full materialization at each step; the extended set covers all eight
+// move kinds.
 func TestDeltaMatchesApplyProperty(t *testing.T) {
 	cases := []struct {
 		class vrptw.Class
@@ -50,7 +51,7 @@ func TestDeltaMatchesApplyProperty(t *testing.T) {
 		r := rng.New(tc.seed * 31)
 		ops := Extended()
 		for step := 0; step < tc.steps; step++ {
-			var adv Move
+			var adv MoveData
 			for _, op := range ops {
 				m, ok := op.Propose(in, s, r)
 				if !ok {
@@ -59,7 +60,7 @@ func TestDeltaMatchesApplyProperty(t *testing.T) {
 				checkDelta(t, in, s, e, m, op.Name())
 				adv = m
 			}
-			if adv == nil {
+			if adv.Kind == KindNone {
 				continue
 			}
 			s = adv.Apply(in, s)
@@ -76,28 +77,29 @@ func TestDeltaEdgeCases(t *testing.T) {
 	s := solution.New(in, [][]int{{1}, {2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12}})
 	e := solution.NewEval(in, s)
 
+	// Parameter layouts per kind are documented on MoveData.
 	cases := []struct {
 		name string
-		m    Move
+		m    MoveData
 	}{
-		{"relocate/empties-singleton-donor", relocateMove{from: 0, fpos: 0, to: 1, tpos: 2, cust: 1}},
-		{"relocate/insert-at-head", relocateMove{from: 1, fpos: 2, to: 2, tpos: 0, cust: 4}},
-		{"relocate/insert-at-tail", relocateMove{from: 2, fpos: 0, to: 1, tpos: 5, cust: 7}},
-		{"exchange/head-tail-positions", exchangeMove{r1: 1, p1: 0, r2: 2, p2: 5, c1: 2, c2: 12}},
-		{"exchange/adjacent-boundaries", exchangeMove{r1: 1, p1: 4, r2: 2, p2: 0, c1: 6, c2: 7}},
-		{"2-opt/full-route-reversal", twoOptMove{route: 2, i: 0, j: 5, ci: 7, cj: 12}},
-		{"2-opt/adjacent-pair", twoOptMove{route: 1, i: 2, j: 3, ci: 4, cj: 5}},
-		{"2-opt*/merge-into-first", twoOptStarMove{r1: 1, p1: 5, r2: 2, p2: 0, a1: 6, a2: 0}},
-		{"2-opt*/merge-into-second", twoOptStarMove{r1: 1, p1: 0, r2: 2, p2: 6, a1: 0, a2: 12}},
-		{"2-opt*/mid-cut", twoOptStarMove{r1: 1, p1: 2, r2: 2, p2: 3, a1: 3, a2: 9}},
-		{"or-opt/dst-before-seg", orOptMove{route: 2, seg: 3, dst: 0, c1: 10, c2: 11}},
-		{"or-opt/dst-after-seg", orOptMove{route: 2, seg: 0, dst: 3, c1: 7, c2: 8}},
-		{"or-opt/seg-at-tail", orOptMove{route: 1, seg: 3, dst: 0, c1: 5, c2: 6}},
-		{"or-opt-n/len-3", orOptNMove{route: 2, seg: 1, length: 3, dst: 0, c1: 8, c2: 10}},
-		{"or-opt-n/len-1-to-tail", orOptNMove{route: 2, seg: 0, length: 1, dst: 5, c1: 7, c2: 7}},
-		{"relocate-new/opens-route", relocateNewMove{from: 1, fpos: 1, cust: 3}},
-		{"cross-exchange/unequal-segments", crossExchangeMove{r1: 1, p1: 1, l1: 2, r2: 2, p2: 2, l2: 3, a1: 3, a2: 9}},
-		{"cross-exchange/head-segments", crossExchangeMove{r1: 1, p1: 0, l1: 1, r2: 2, p2: 0, l2: 2, a1: 2, a2: 7}},
+		{"relocate/empties-singleton-donor", MoveData{Kind: KindRelocate, A: 0, B: 0, C: 1, D: 2, E: 1}},
+		{"relocate/insert-at-head", MoveData{Kind: KindRelocate, A: 1, B: 2, C: 2, D: 0, E: 4}},
+		{"relocate/insert-at-tail", MoveData{Kind: KindRelocate, A: 2, B: 0, C: 1, D: 5, E: 7}},
+		{"exchange/head-tail-positions", MoveData{Kind: KindExchange, A: 1, B: 0, C: 2, D: 5, E: 2, F: 12}},
+		{"exchange/adjacent-boundaries", MoveData{Kind: KindExchange, A: 1, B: 4, C: 2, D: 0, E: 6, F: 7}},
+		{"2-opt/full-route-reversal", MoveData{Kind: KindTwoOpt, A: 2, B: 0, C: 5, D: 7, E: 12}},
+		{"2-opt/adjacent-pair", MoveData{Kind: KindTwoOpt, A: 1, B: 2, C: 3, D: 4, E: 5}},
+		{"2-opt*/merge-into-first", MoveData{Kind: KindTwoOptStar, A: 1, B: 5, C: 2, D: 0, E: 6, F: 0}},
+		{"2-opt*/merge-into-second", MoveData{Kind: KindTwoOptStar, A: 1, B: 0, C: 2, D: 6, E: 0, F: 12}},
+		{"2-opt*/mid-cut", MoveData{Kind: KindTwoOptStar, A: 1, B: 2, C: 2, D: 3, E: 3, F: 9}},
+		{"or-opt/dst-before-seg", MoveData{Kind: KindOrOpt, A: 2, B: 3, C: 0, D: 10, E: 11}},
+		{"or-opt/dst-after-seg", MoveData{Kind: KindOrOpt, A: 2, B: 0, C: 3, D: 7, E: 8}},
+		{"or-opt/seg-at-tail", MoveData{Kind: KindOrOpt, A: 1, B: 3, C: 0, D: 5, E: 6}},
+		{"or-opt-n/len-3", MoveData{Kind: KindOrOptN, A: 2, B: 1, C: 3, D: 0, E: 8, F: 10}},
+		{"or-opt-n/len-1-to-tail", MoveData{Kind: KindOrOptN, A: 2, B: 0, C: 1, D: 5, E: 7, F: 7}},
+		{"relocate-new/opens-route", MoveData{Kind: KindRelocateNew, A: 1, B: 1, C: 3}},
+		{"cross-exchange/unequal-segments", MoveData{Kind: KindCrossExchange, A: 1, B: 1, C: 2, D: 2, E: 2, F: 3, G: 3, H: 9}},
+		{"cross-exchange/head-segments", MoveData{Kind: KindCrossExchange, A: 1, B: 0, C: 1, D: 2, E: 0, F: 2, G: 2, H: 7}},
 	}
 	for _, tc := range cases {
 		checkDelta(t, in, s, e, tc.m, tc.name)
@@ -105,22 +107,24 @@ func TestDeltaEdgeCases(t *testing.T) {
 }
 
 // TestCandidatesMatchNeighborhood pins the delta path to the materializing
-// path: identical seeds must yield the same move sequence with objectives
-// equal to within deltaTol.
+// path: identical seeds must yield the same move sequence from
+// CandidatesInto and MovesInto, and every delta objective must equal the
+// objectives of the applied move to within deltaTol.
 func TestCandidatesMatchNeighborhood(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 80, 29)
 	s := greedyFill(in)
-	nbh := NewGenerator(in, nil).Neighborhood(s, rng.New(77), 60)
-	cs := NewGenerator(in, nil).Candidates(s, rng.New(77), 60)
-	if len(nbh) != len(cs) {
-		t.Fatalf("Neighborhood produced %d moves, Candidates %d", len(nbh), len(cs))
+	moves := proposeMoves(NewGenerator(in, nil), s, rng.New(77), 60)
+	var cs CandidateBuffer
+	NewGenerator(in, nil).CandidatesInto(&cs, s, rng.New(77), 60)
+	if len(moves) != len(cs.Data) {
+		t.Fatalf("MovesInto produced %d moves, CandidatesInto %d", len(moves), len(cs.Data))
 	}
-	for i := range cs {
-		if cs[i].Move.Attribute() != nbh[i].Move.Attribute() {
+	for i := range cs.Data {
+		if cs.Data[i] != moves[i] {
 			t.Fatalf("move %d differs between the two paths", i)
 		}
-		w := nbh[i].Sol.Obj
-		g := cs[i].Obj
+		w := moves[i].Apply(in, s).Obj
+		g := cs.Objs[i]
 		if math.Abs(g.Distance-w.Distance) > deltaTol ||
 			g.Vehicles != w.Vehicles ||
 			math.Abs(g.Tardiness-w.Tardiness) > deltaTol {
@@ -137,7 +141,7 @@ func BenchmarkDeltaVsApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := greedyFill(in)
-	moves := NewGenerator(in, nil).Moves(s, rng.New(1), 200)
+	moves := proposeMoves(NewGenerator(in, nil), s, rng.New(1), 200)
 	if len(moves) == 0 {
 		b.Fatal("no moves proposed")
 	}
@@ -156,21 +160,4 @@ func BenchmarkDeltaVsApply(b *testing.B) {
 			moves[i%len(moves)].Apply(in, s)
 		}
 	})
-}
-
-// BenchmarkCandidates200 is the delta-path counterpart of
-// BenchmarkNeighborhood200: one full neighborhood on the same instance.
-func BenchmarkCandidates200(b *testing.B) {
-	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 100, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := greedyFill(in)
-	g := NewGenerator(in, nil)
-	r := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Candidates(s, r, 200)
-	}
 }

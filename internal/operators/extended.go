@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/solution"
-	"repro/internal/tabu"
 	"repro/internal/vrptw"
 )
 
@@ -20,7 +19,7 @@ func Extended() []Operator {
 	return append(All(), OrOptN{MaxLen: 3}, RelocateNew{}, CrossExchange{MaxLen: 3})
 }
 
-// Extension operator tags continue the attribute tag space of moves.go.
+// Extension operator tags continue the attribute tag space of operators.go.
 const (
 	tagOrOptN = iota + 16
 	tagRelocateNew
@@ -45,18 +44,8 @@ func (o OrOptN) maxLen() int {
 	return o.MaxLen
 }
 
-type orOptNMove struct {
-	route, seg, length, dst int
-	c1, c2                  int
-}
-
 // Propose implements Operator.
-func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (o OrOptN) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -92,16 +81,14 @@ func (o OrOptN) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Ran
 	return MoveData{}, false
 }
 
-func (m orOptNMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	route := s.Routes[m.route]
-	segment := route[m.seg : m.seg+m.length]
-	rem := concat(route[:m.seg], route[m.seg+m.length:])
-	nr := concat(rem[:m.dst], segment, rem[m.dst:])
-	return s.WithRoutes(in, []int{m.route}, [][]int{nr})
+func applyOrOptN(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	ri, seg, length, dst := int(d.A), int(d.B), int(d.C), int(d.D)
+	route := s.Routes[ri]
+	segment := route[seg : seg+length]
+	rem := concat(route[:seg], route[seg+length:])
+	nr := concat(rem[:dst], segment, rem[dst:])
+	return s.WithRoutes(in, []int{ri}, [][]int{nr})
 }
-
-func (m orOptNMove) Attribute() tabu.Attribute { return attribute(tagOrOptN, m.c1, m.c2) }
-func (m orOptNMove) Operator() string          { return orOptNName(m.length) }
 
 // RelocateNew moves one customer out of a multi-customer route into a
 // fresh route of its own. It is the inverse pressure to the paper's
@@ -113,18 +100,8 @@ type RelocateNew struct{}
 // Name implements Operator.
 func (RelocateNew) Name() string { return "relocate-new" }
 
-type relocateNewMove struct {
-	from, fpos int
-	cust       int
-}
-
 // Propose implements Operator.
-func (o RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (RelocateNew) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) >= in.Vehicles {
 		return MoveData{}, false // fleet exhausted
 	}
@@ -147,25 +124,23 @@ func (RelocateNew) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.
 	return MoveData{}, false
 }
 
-func (m relocateNewMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	rf := s.Routes[m.from]
-	nf := concat(rf[:m.fpos], rf[m.fpos+1:])
-	next := s.WithRoutes(in, []int{m.from}, [][]int{nf})
+func applyRelocateNew(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	from, fpos := int(d.A), int(d.B)
+	rf := s.Routes[from]
+	nf := concat(rf[:fpos], rf[fpos+1:])
+	next := s.WithRoutes(in, []int{from}, [][]int{nf})
 	// Append the fresh singleton route.
-	routes := append(next.Routes, []int{m.cust})
-	d, t, l := solution.RouteMetrics(in, routes[len(routes)-1])
+	routes := append(next.Routes, []int{int(d.C)})
+	dist, tard, load := solution.RouteMetrics(in, routes[len(routes)-1])
 	next.Routes = routes
-	next.Dist = append(next.Dist, d)
-	next.Tard = append(next.Tard, t)
-	next.Load = append(next.Load, l)
-	next.Obj.Distance += d
-	next.Obj.Tardiness += t
+	next.Dist = append(next.Dist, dist)
+	next.Tard = append(next.Tard, tard)
+	next.Load = append(next.Load, load)
+	next.Obj.Distance += dist
+	next.Obj.Tardiness += tard
 	next.Obj.Vehicles++
 	return next
 }
-
-func (m relocateNewMove) Attribute() tabu.Attribute { return attribute(tagRelocateNew, m.cust, 0) }
-func (m relocateNewMove) Operator() string          { return "relocate-new" }
 
 // CrossExchange swaps two segments of up to MaxLen consecutive customers
 // between different routes (Taillard et al. 1997), generalizing the
@@ -185,19 +160,8 @@ func (c CrossExchange) maxLen() int {
 	return c.MaxLen
 }
 
-type crossExchangeMove struct {
-	r1, p1, l1 int
-	r2, p2, l2 int
-	a1, a2     int // leading customers, for the attribute
-}
-
 // Propose implements Operator.
-func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(c, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (c CrossExchange) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -240,18 +204,10 @@ func segLoad(in *vrptw.Instance, seg []int) float64 {
 	return l
 }
 
-func (m crossExchangeMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	a, b := s.Routes[m.r1], s.Routes[m.r2]
-	na := concat(a[:m.p1], b[m.p2:m.p2+m.l2], a[m.p1+m.l1:])
-	nb := concat(b[:m.p2], a[m.p1:m.p1+m.l1], b[m.p2+m.l2:])
-	return s.WithRoutes(in, []int{m.r1, m.r2}, [][]int{na, nb})
+func applyCrossExchange(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	r1, p1, l1, r2, p2, l2 := int(d.A), int(d.B), int(d.C), int(d.D), int(d.E), int(d.F)
+	a, b := s.Routes[r1], s.Routes[r2]
+	na := concat(a[:p1], b[p2:p2+l2], a[p1+l1:])
+	nb := concat(b[:p2], a[p1:p1+l1], b[p2+l2:])
+	return s.WithRoutes(in, []int{r1, r2}, [][]int{na, nb})
 }
-
-func (m crossExchangeMove) Attribute() tabu.Attribute {
-	lo, hi := m.a1, m.a2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return attribute(tagCrossExchange, lo, hi)
-}
-func (m crossExchangeMove) Operator() string { return "cross-exchange" }

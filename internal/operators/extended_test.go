@@ -43,11 +43,14 @@ func TestOrOptNSegmentLengths(t *testing.T) {
 		if !ok {
 			continue
 		}
-		mv := m.(orOptNMove)
-		if mv.length < 1 || mv.length > 3 {
-			t.Fatalf("segment length %d out of [1,3]", mv.length)
+		if m.Kind != KindOrOptN {
+			t.Fatalf("or-opt-n proposed a move of kind %d", m.Kind)
 		}
-		lengths[mv.length] = true
+		length := int(m.C)
+		if length < 1 || length > 3 {
+			t.Fatalf("segment length %d out of [1,3]", length)
+		}
+		lengths[length] = true
 		next := m.Apply(in, s)
 		if err := solution.Validate(in, next); err != nil {
 			t.Fatal(err)
@@ -126,8 +129,7 @@ func TestCrossExchangeSwapsSegments(t *testing.T) {
 		if err := solution.Validate(in, next); err != nil {
 			t.Fatal(err)
 		}
-		mv := m.(crossExchangeMove)
-		if mv.l1 != mv.l2 {
+		if m.C != m.F { // l1 != l2
 			// Unequal lengths change route sizes.
 			if len(next.Routes[0]) == 5 && len(next.Routes[1]) == 5 {
 				t.Fatal("unequal segment swap left route sizes unchanged")
@@ -174,14 +176,14 @@ func TestGeneratorWithExtendedOperators(t *testing.T) {
 	in := genInstance(t, vrptw.RC2, 40, 2)
 	s := greedyFill(in)
 	g := NewGenerator(in, Extended())
-	nbh := g.Neighborhood(s, rng.New(4), 60)
-	if len(nbh) != 60 {
-		t.Fatalf("neighborhood size %d, want 60", len(nbh))
+	moves := proposeMoves(g, s, rng.New(4), 60)
+	if len(moves) != 60 {
+		t.Fatalf("neighborhood size %d, want 60", len(moves))
 	}
 	names := map[string]bool{}
-	for _, nb := range nbh {
-		names[nb.Move.Operator()] = true
-		if err := solution.Validate(in, nb.Sol); err != nil {
+	for _, m := range moves {
+		names[g.KindName(m.Kind)] = true
+		if err := solution.Validate(in, m.Apply(in, s)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,18 +8,14 @@ import (
 	"repro/internal/vrptw"
 )
 
-// This file is the flat move encoding of the candidate engine. The Move
-// interface reifies moves as boxed values — convenient, but boxing one
-// value struct per proposed candidate costs one heap allocation, and at
-// 200 candidates per iteration that boxing dominated the searcher's
-// allocation profile. MoveData is the same information as a plain tagged
-// union: one fixed-size struct, no pointers, storable in reusable slices.
-// The hot path (Generator.CandidatesInto → searcher) deals exclusively in
-// MoveData; Move remains as the boxed compatibility view.
+// This file is the move encoding of the candidate engine. A move is a
+// plain tagged union: one fixed-size struct, no pointers, storable in
+// reusable slices, so a sweep of 200 candidates per iteration allocates
+// nothing. Apply, Delta and Attribute dispatch on the kind to one function
+// per kind that reads the parameter fields directly.
 
 // MoveKind discriminates the MoveData union. KindNone is the zero value
-// and marks "no move" (e.g. a checkpoint-restored candidate that is
-// already materialized).
+// and marks "no move".
 type MoveKind uint8
 
 const (
@@ -34,9 +30,11 @@ const (
 	KindCrossExchange
 )
 
-// MoveData is one neighborhood move in flat form. The parameter fields
-// A..H are interpreted per kind exactly as the corresponding move struct's
-// fields, in declaration order:
+// NumKinds is the length of an array indexed by MoveKind.
+const NumKinds = int(KindCrossExchange) + 1
+
+// MoveData is one neighborhood move. The parameter fields A..H are
+// interpreted per kind:
 //
 //	KindRelocate:      A=from  B=fpos C=to     D=tpos E=cust
 //	KindExchange:      A=r1    B=p1   C=r2     D=p2   E=c1 F=c2
@@ -51,165 +49,110 @@ type MoveData struct {
 	A, B, C, D, E, F, G, H int32
 }
 
-// decode rebuilds the concrete move value on the stack; the value methods
-// below dispatch through it without boxing.
-
-func (d MoveData) asRelocate() relocateMove {
-	return relocateMove{from: int(d.A), fpos: int(d.B), to: int(d.C), tpos: int(d.D), cust: int(d.E)}
-}
-
-func (d MoveData) asExchange() exchangeMove {
-	return exchangeMove{r1: int(d.A), p1: int(d.B), r2: int(d.C), p2: int(d.D), c1: int(d.E), c2: int(d.F)}
-}
-
-func (d MoveData) asTwoOpt() twoOptMove {
-	return twoOptMove{route: int(d.A), i: int(d.B), j: int(d.C), ci: int(d.D), cj: int(d.E)}
-}
-
-func (d MoveData) asTwoOptStar() twoOptStarMove {
-	return twoOptStarMove{r1: int(d.A), p1: int(d.B), r2: int(d.C), p2: int(d.D), a1: int(d.E), a2: int(d.F)}
-}
-
-func (d MoveData) asOrOpt() orOptMove {
-	return orOptMove{route: int(d.A), seg: int(d.B), dst: int(d.C), c1: int(d.D), c2: int(d.E)}
-}
-
-func (d MoveData) asOrOptN() orOptNMove {
-	return orOptNMove{route: int(d.A), seg: int(d.B), length: int(d.C), dst: int(d.D), c1: int(d.E), c2: int(d.F)}
-}
-
-func (d MoveData) asRelocateNew() relocateNewMove {
-	return relocateNewMove{from: int(d.A), fpos: int(d.B), cust: int(d.C)}
-}
-
-func (d MoveData) asCrossExchange() crossExchangeMove {
-	return crossExchangeMove{r1: int(d.A), p1: int(d.B), l1: int(d.C), r2: int(d.D), p2: int(d.E), l2: int(d.F), a1: int(d.G), a2: int(d.H)}
-}
-
-// Apply materializes the move on s, exactly as Move.Apply.
+// Apply materializes the move on s, the same solution it was proposed on,
+// returning a new evaluated solution. s is not modified.
 func (d MoveData) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
 	switch d.Kind {
 	case KindRelocate:
-		return d.asRelocate().Apply(in, s)
+		return applyRelocate(in, s, d)
 	case KindExchange:
-		return d.asExchange().Apply(in, s)
+		return applyExchange(in, s, d)
 	case KindTwoOpt:
-		return d.asTwoOpt().Apply(in, s)
+		return applyTwoOpt(in, s, d)
 	case KindTwoOptStar:
-		return d.asTwoOptStar().Apply(in, s)
+		return applyTwoOptStar(in, s, d)
 	case KindOrOpt:
-		return d.asOrOpt().Apply(in, s)
+		return applyOrOpt(in, s, d)
 	case KindOrOptN:
-		return d.asOrOptN().Apply(in, s)
+		return applyOrOptN(in, s, d)
 	case KindRelocateNew:
-		return d.asRelocateNew().Apply(in, s)
+		return applyRelocateNew(in, s, d)
 	case KindCrossExchange:
-		return d.asCrossExchange().Apply(in, s)
+		return applyCrossExchange(in, s, d)
 	}
 	panic(fmt.Sprintf("operators: Apply on MoveData kind %d", d.Kind))
 }
 
-// Delta delta-evaluates the move against s's schedule cache, exactly as
-// Move.Delta.
+// Delta returns the objectives of the solution Apply would produce,
+// agreeing with it to within floating-point noise (well below 1e-9), in
+// time proportional to the changed segments rather than the touched
+// routes. e must be the schedule cache of s. The second result reports
+// whether the delta could be computed; callers fall back to Apply when it
+// is false.
 func (d MoveData) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	switch d.Kind {
 	case KindRelocate:
-		return d.asRelocate().Delta(in, s, e)
+		return deltaRelocate(in, s, e, d), true
 	case KindExchange:
-		return d.asExchange().Delta(in, s, e)
+		return deltaExchange(in, s, e, d), true
 	case KindTwoOpt:
-		return d.asTwoOpt().Delta(in, s, e)
+		return deltaTwoOpt(in, s, e, d), true
 	case KindTwoOptStar:
-		return d.asTwoOptStar().Delta(in, s, e)
+		return deltaTwoOptStar(in, s, e, d), true
 	case KindOrOpt:
-		return d.asOrOpt().Delta(in, s, e)
+		return orOptDelta(in, s, e, int(d.A), int(d.B), 2, int(d.C)), true
 	case KindOrOptN:
-		return d.asOrOptN().Delta(in, s, e)
+		return orOptDelta(in, s, e, int(d.A), int(d.B), int(d.C), int(d.D)), true
 	case KindRelocateNew:
-		return d.asRelocateNew().Delta(in, s, e)
+		return deltaRelocateNew(in, s, e, d), true
 	case KindCrossExchange:
-		return d.asCrossExchange().Delta(in, s, e)
+		return deltaCrossExchange(in, s, e, d), true
 	}
 	panic(fmt.Sprintf("operators: Delta on MoveData kind %d", d.Kind))
 }
 
-// Attribute is the move's tabu identity, exactly as Move.Attribute.
+// Attribute is the move's tabu identity: the kind's tag mixed with the
+// customers the move touches (unordered pairs are sorted first).
 func (d MoveData) Attribute() tabu.Attribute {
 	switch d.Kind {
 	case KindRelocate:
-		return d.asRelocate().Attribute()
+		return attribute(tagRelocate, int(d.E), 0)
 	case KindExchange:
-		return d.asExchange().Attribute()
+		return pairAttribute(tagExchange, d.E, d.F)
 	case KindTwoOpt:
-		return d.asTwoOpt().Attribute()
+		return pairAttribute(tagTwoOpt, d.D, d.E)
 	case KindTwoOptStar:
-		return d.asTwoOptStar().Attribute()
+		return pairAttribute(tagTwoOptStar, d.E, d.F)
 	case KindOrOpt:
-		return d.asOrOpt().Attribute()
+		return attribute(tagOrOpt, int(d.D), int(d.E))
 	case KindOrOptN:
-		return d.asOrOptN().Attribute()
+		return attribute(tagOrOptN, int(d.E), int(d.F))
 	case KindRelocateNew:
-		return d.asRelocateNew().Attribute()
+		return attribute(tagRelocateNew, int(d.C), 0)
 	case KindCrossExchange:
-		return d.asCrossExchange().Attribute()
+		return pairAttribute(tagCrossExchange, d.G, d.H)
 	}
 	return 0
 }
 
-// OperatorName names the operator that produced the move. All returned
-// strings are static so the call never allocates.
-func (d MoveData) OperatorName() string {
-	switch d.Kind {
-	case KindRelocate:
-		return "relocate"
-	case KindExchange:
-		return "exchange"
-	case KindTwoOpt:
-		return "2-opt"
-	case KindTwoOptStar:
-		return "2-opt*"
-	case KindOrOpt:
-		return "or-opt"
-	case KindOrOptN:
-		return orOptNName(int(d.C))
-	case KindRelocateNew:
-		return "relocate-new"
-	case KindCrossExchange:
-		return "cross-exchange"
+// pairAttribute is attribute over an unordered customer pair.
+func pairAttribute(op uint64, a, b int32) tabu.Attribute {
+	if a > b {
+		a, b = b, a
 	}
-	return "none"
+	return attribute(op, int(a), int(b))
 }
 
-// Move returns the boxed Move view of the data (allocating; compatibility
-// and tests only — the hot path never boxes).
-func (d MoveData) Move() Move {
-	switch d.Kind {
-	case KindRelocate:
-		return d.asRelocate()
-	case KindExchange:
-		return d.asExchange()
-	case KindTwoOpt:
-		return d.asTwoOpt()
-	case KindTwoOptStar:
-		return d.asTwoOptStar()
-	case KindOrOpt:
-		return d.asOrOpt()
-	case KindOrOptN:
-		return d.asOrOptN()
-	case KindRelocateNew:
-		return d.asRelocateNew()
-	case KindCrossExchange:
-		return d.asCrossExchange()
+// kindOf returns the move kind op proposes; KindNone for an operator
+// defined outside this package.
+func kindOf(op Operator) MoveKind {
+	switch op.(type) {
+	case Relocate:
+		return KindRelocate
+	case Exchange:
+		return KindExchange
+	case TwoOpt:
+		return KindTwoOpt
+	case TwoOptStar:
+		return KindTwoOptStar
+	case OrOpt:
+		return KindOrOpt
+	case OrOptN:
+		return KindOrOptN
+	case RelocateNew:
+		return KindRelocateNew
+	case CrossExchange:
+		return KindCrossExchange
 	}
-	return nil
-}
-
-// orOptNName returns the static operator name of a length-l Or-opt move.
-var orOptNNames = [...]string{"or-opt-0", "or-opt-1", "or-opt-2", "or-opt-3", "or-opt-4", "or-opt-5"}
-
-func orOptNName(l int) string {
-	if l >= 0 && l < len(orOptNNames) {
-		return orOptNNames[l]
-	}
-	return fmt.Sprintf("or-opt-%d", l)
+	return KindNone
 }

@@ -25,10 +25,11 @@ func fuzzInstance(t *testing.T, class, n, seed uint64) (*vrptw.Instance, *soluti
 	return in, greedyFill(in)
 }
 
-// FuzzDeltaMatchesApply drives a random walk over fuzzer-chosen instances
-// and checks, at every step, that Move.Delta agrees with the objectives of
-// the fully materialized Move.Apply to within deltaTol — the contract the
-// parallel variants rely on when workers delta-evaluate shipped moves.
+// FuzzDeltaMatchesApply drives a random walk of all eight move kinds over
+// fuzzer-chosen instances and checks, at every step, that MoveData.Delta
+// agrees with the objectives of the fully materialized MoveData.Apply to
+// within deltaTol — the contract the parallel variants rely on when
+// workers delta-evaluate shipped moves.
 func FuzzDeltaMatchesApply(f *testing.F) {
 	f.Add(uint64(0), uint64(35), uint64(11), uint64(1))
 	f.Add(uint64(1), uint64(20), uint64(3), uint64(9))
@@ -36,10 +37,10 @@ func FuzzDeltaMatchesApply(f *testing.F) {
 	f.Add(uint64(5), uint64(12), uint64(99), uint64(17))
 	f.Fuzz(func(t *testing.T, class, n, seed, walk uint64) {
 		in, s := fuzzInstance(t, class, n, seed)
-		g := NewGenerator(in, All())
+		g := NewGenerator(in, Extended())
 		r := rng.New(walk)
 		for step := 0; step < 12; step++ {
-			moves := g.Moves(s, r, 6)
+			moves := proposeMoves(g, s, r, 6)
 			if len(moves) == 0 {
 				return
 			}
@@ -48,14 +49,14 @@ func FuzzDeltaMatchesApply(f *testing.F) {
 			for _, m := range moves {
 				applied := m.Apply(in, s)
 				if err := solution.Validate(in, applied); err != nil {
-					t.Fatalf("%s produced an invalid solution: %v", m.Operator(), err)
+					t.Fatalf("%+v produced an invalid solution: %v", m, err)
 				}
 				if got, ok := m.Delta(in, s, e); ok {
 					want := applied.Obj
 					if math.Abs(got.Distance-want.Distance) > deltaTol ||
 						got.Vehicles != want.Vehicles ||
 						math.Abs(got.Tardiness-want.Tardiness) > deltaTol {
-						t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.Operator(), got, want, m)
+						t.Fatalf("Delta %+v != Apply %+v for %+v", got, want, m)
 					}
 				}
 				next = applied
@@ -94,7 +95,7 @@ func FuzzFeasibilityGuard(f *testing.F) {
 		g := NewGenerator(in, All())
 		r := rng.New(walk)
 		for step := 0; step < 12; step++ {
-			moves := g.Moves(s, r, 6)
+			moves := proposeMoves(g, s, r, 6)
 			if len(moves) == 0 {
 				return
 			}
@@ -104,7 +105,7 @@ func FuzzFeasibilityGuard(f *testing.F) {
 				applied := m.Apply(in, s)
 				for i, load := range applied.Load {
 					if load > in.Capacity {
-						t.Fatalf("%s overloaded route %d: %g > %g", m.Operator(), i, load, in.Capacity)
+						t.Fatalf("%+v overloaded route %d: %g > %g", m, i, load, in.Capacity)
 					}
 				}
 				for arc := range arcSet(applied) {
@@ -112,8 +113,8 @@ func FuzzFeasibilityGuard(f *testing.F) {
 						continue
 					}
 					if !arcOK(in, arc[0], arc[1]) {
-						t.Fatalf("%s created arc %d->%d violating the local feasibility criterion",
-							m.Operator(), arc[0], arc[1])
+						t.Fatalf("%+v created arc %d->%d violating the local feasibility criterion",
+							m, arc[0], arc[1])
 					}
 				}
 				next = applied

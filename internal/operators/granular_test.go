@@ -37,16 +37,16 @@ func TestGranularMovesValidSubset(t *testing.T) {
 			for i, d := range buf.Data {
 				applied := d.Apply(in, s)
 				if err := solution.Validate(in, applied); err != nil {
-					t.Fatalf("k=%d sweep %d move %d (%s): invalid after apply: %v",
-						k, sweep, i, d.OperatorName(), err)
+					t.Fatalf("k=%d sweep %d move %d (kind %d): invalid after apply: %v",
+						k, sweep, i, d.Kind, err)
 				}
 				w := applied.Obj
 				got := buf.Objs[i]
 				if math.Abs(got.Distance-w.Distance) > deltaTol ||
 					got.Vehicles != w.Vehicles ||
 					math.Abs(got.Tardiness-w.Tardiness) > deltaTol {
-					t.Fatalf("k=%d sweep %d move %d (%s): delta obj %+v != materialized %+v",
-						k, sweep, i, d.OperatorName(), got, w)
+					t.Fatalf("k=%d sweep %d move %d (kind %d): delta obj %+v != materialized %+v",
+						k, sweep, i, d.Kind, got, w)
 				}
 			}
 			// Walk the search forward so later sweeps see other solutions.
@@ -210,28 +210,6 @@ func benchSweep(b *testing.B, granularK int) (*Generator, *solution.Solution, *r
 		g.Granular = in.NeighborLists(granularK)
 	}
 	return g, s, rng.New(1)
-}
-
-// BenchmarkNeighborhood400 measures the pre-delta sweep (propose + apply
-// every move) on the 400-customer instance.
-func BenchmarkNeighborhood400(b *testing.B) {
-	g, s, r := benchSweep(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Neighborhood(s, r, 200)
-	}
-}
-
-// BenchmarkCandidates400 measures the allocating delta-path sweep
-// (Candidates) on the 400-customer instance.
-func BenchmarkCandidates400(b *testing.B) {
-	g, s, r := benchSweep(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Candidates(s, r, 200)
-	}
 }
 
 // BenchmarkCandidatesInto400 measures the zero-alloc full-neighborhood

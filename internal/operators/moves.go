@@ -1,11 +1,8 @@
 package operators
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/solution"
-	"repro/internal/tabu"
 	"repro/internal/vrptw"
 )
 
@@ -17,20 +14,8 @@ type Relocate struct{}
 // Name implements Operator.
 func (Relocate) Name() string { return "relocate" }
 
-// relocateMove is the reified Relocate move.
-type relocateMove struct {
-	from, fpos int // donor route index and customer position
-	to, tpos   int // receiving route index and insertion position
-	cust       int
-}
-
 // Propose implements Operator.
-func (o Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (Relocate) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -66,15 +51,13 @@ func (Relocate) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Ran
 	return MoveData{}, false
 }
 
-func (m relocateMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	rf, rt := s.Routes[m.from], s.Routes[m.to]
-	nf := concat(rf[:m.fpos], rf[m.fpos+1:])
-	nt := concat(rt[:m.tpos], []int{m.cust}, rt[m.tpos:])
-	return s.WithRoutes(in, []int{m.from, m.to}, [][]int{nf, nt})
+func applyRelocate(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	from, fpos, to, tpos, cust := int(d.A), int(d.B), int(d.C), int(d.D), int(d.E)
+	rf, rt := s.Routes[from], s.Routes[to]
+	nf := concat(rf[:fpos], rf[fpos+1:])
+	nt := concat(rt[:tpos], []int{cust}, rt[tpos:])
+	return s.WithRoutes(in, []int{from, to}, [][]int{nf, nt})
 }
-
-func (m relocateMove) Attribute() tabu.Attribute { return attribute(tagRelocate, m.cust, 0) }
-func (m relocateMove) Operator() string          { return "relocate" }
 
 // Exchange swaps two customers between different routes — Osman's (1,1)
 // λ-exchange.
@@ -83,19 +66,8 @@ type Exchange struct{}
 // Name implements Operator.
 func (Exchange) Name() string { return "exchange" }
 
-type exchangeMove struct {
-	r1, p1 int
-	r2, p2 int
-	c1, c2 int
-}
-
 // Propose implements Operator.
-func (o Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (Exchange) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -124,21 +96,13 @@ func (Exchange) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Ran
 	return MoveData{}, false
 }
 
-func (m exchangeMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	a := concat(s.Routes[m.r1])
-	b := concat(s.Routes[m.r2])
-	a[m.p1], b[m.p2] = m.c2, m.c1
-	return s.WithRoutes(in, []int{m.r1, m.r2}, [][]int{a, b})
+func applyExchange(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	r1, p1, r2, p2 := int(d.A), int(d.B), int(d.C), int(d.D)
+	a := concat(s.Routes[r1])
+	b := concat(s.Routes[r2])
+	a[p1], b[p2] = int(d.F), int(d.E)
+	return s.WithRoutes(in, []int{r1, r2}, [][]int{a, b})
 }
-
-func (m exchangeMove) Attribute() tabu.Attribute {
-	lo, hi := m.c1, m.c2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return attribute(tagExchange, lo, hi)
-}
-func (m exchangeMove) Operator() string { return "exchange" }
 
 // TwoOpt reverses a contiguous segment of a single route (or the whole
 // route).
@@ -147,18 +111,8 @@ type TwoOpt struct{}
 // Name implements Operator.
 func (TwoOpt) Name() string { return "2-opt" }
 
-type twoOptMove struct {
-	route, i, j int // reverse positions i..j inclusive, i < j
-	ci, cj      int
-}
-
 // Propose implements Operator.
-func (o TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (TwoOpt) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -179,23 +133,15 @@ func (TwoOpt) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand)
 	return MoveData{}, false
 }
 
-func (m twoOptMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	route := s.Routes[m.route]
-	nr := concat(route)
-	for a, b := m.i, m.j; a < b; a, b = a+1, b-1 {
+// applyTwoOpt reverses positions i..j (inclusive, i < j) of the route.
+func applyTwoOpt(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	ri := int(d.A)
+	nr := concat(s.Routes[ri])
+	for a, b := int(d.B), int(d.C); a < b; a, b = a+1, b-1 {
 		nr[a], nr[b] = nr[b], nr[a]
 	}
-	return s.WithRoutes(in, []int{m.route}, [][]int{nr})
+	return s.WithRoutes(in, []int{ri}, [][]int{nr})
 }
-
-func (m twoOptMove) Attribute() tabu.Attribute {
-	lo, hi := m.ci, m.cj
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return attribute(tagTwoOpt, lo, hi)
-}
-func (m twoOptMove) Operator() string { return "2-opt" }
 
 // TwoOptStar interchanges the tails of two routes: the first part of one
 // route continues with the second part of the other and vice versa. Cutting
@@ -205,19 +151,8 @@ type TwoOptStar struct{}
 // Name implements Operator.
 func (TwoOptStar) Name() string { return "2-opt*" }
 
-type twoOptStarMove struct {
-	r1, p1 int // cut positions: route[:p] keeps, route[p:] swaps
-	r2, p2 int
-	a1, a2 int // customers adjacent to the new arcs, for the attribute
-}
-
 // Propose implements Operator.
-func (o TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (TwoOptStar) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -263,21 +198,14 @@ func prefixLoad(in *vrptw.Instance, route []int, p int) float64 {
 	return l
 }
 
-func (m twoOptStarMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	a, b := s.Routes[m.r1], s.Routes[m.r2]
-	na := concat(a[:m.p1], b[m.p2:])
-	nb := concat(b[:m.p2], a[m.p1:])
-	return s.WithRoutes(in, []int{m.r1, m.r2}, [][]int{na, nb})
+// applyTwoOptStar keeps route[:p] of both routes and swaps their tails.
+func applyTwoOptStar(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	r1, p1, r2, p2 := int(d.A), int(d.B), int(d.C), int(d.D)
+	a, b := s.Routes[r1], s.Routes[r2]
+	na := concat(a[:p1], b[p2:])
+	nb := concat(b[:p2], a[p1:])
+	return s.WithRoutes(in, []int{r1, r2}, [][]int{na, nb})
 }
-
-func (m twoOptStarMove) Attribute() tabu.Attribute {
-	lo, hi := m.a1, m.a2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return attribute(tagTwoOptStar, lo, hi)
-}
-func (m twoOptStarMove) Operator() string { return "2-opt*" }
 
 // OrOpt moves two consecutive customers to a different place in the same
 // route.
@@ -286,20 +214,8 @@ type OrOpt struct{}
 // Name implements Operator.
 func (OrOpt) Name() string { return "or-opt" }
 
-type orOptMove struct {
-	route  int
-	seg    int // segment start position (length 2)
-	dst    int // insertion position in the route with the segment removed
-	c1, c2 int
-}
-
 // Propose implements Operator.
-func (o OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (OrOpt) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -338,30 +254,12 @@ func (OrOpt) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) 
 	return MoveData{}, false
 }
 
-func (m orOptMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
-	route := s.Routes[m.route]
-	rem := concat(route[:m.seg], route[m.seg+2:])
-	nr := concat(rem[:m.dst], []int{m.c1, m.c2}, rem[m.dst:])
-	return s.WithRoutes(in, []int{m.route}, [][]int{nr})
-}
-
-func (m orOptMove) Attribute() tabu.Attribute { return attribute(tagOrOpt, m.c1, m.c2) }
-func (m orOptMove) Operator() string          { return "or-opt" }
-
-// String implementations aid debugging and the trajectory tool.
-
-func (m relocateMove) String() string {
-	return fmt.Sprintf("relocate c%d r%d@%d -> r%d@%d", m.cust, m.from, m.fpos, m.to, m.tpos)
-}
-func (m exchangeMove) String() string {
-	return fmt.Sprintf("exchange c%d (r%d@%d) <-> c%d (r%d@%d)", m.c1, m.r1, m.p1, m.c2, m.r2, m.p2)
-}
-func (m twoOptMove) String() string {
-	return fmt.Sprintf("2-opt r%d [%d..%d]", m.route, m.i, m.j)
-}
-func (m twoOptStarMove) String() string {
-	return fmt.Sprintf("2-opt* r%d@%d x r%d@%d", m.r1, m.p1, m.r2, m.p2)
-}
-func (m orOptMove) String() string {
-	return fmt.Sprintf("or-opt r%d seg@%d -> %d", m.route, m.seg, m.dst)
+// applyOrOpt moves the length-2 segment at seg to position dst of the
+// route with the segment removed.
+func applyOrOpt(in *vrptw.Instance, s *solution.Solution, d MoveData) *solution.Solution {
+	ri, seg, dst := int(d.A), int(d.B), int(d.C)
+	route := s.Routes[ri]
+	rem := concat(route[:seg], route[seg+2:])
+	nr := concat(rem[:dst], []int{int(d.D), int(d.E)}, rem[dst:])
+	return s.WithRoutes(in, []int{ri}, [][]int{nr})
 }

@@ -22,51 +22,14 @@ import (
 	"repro/internal/vrptw"
 )
 
-// Move is a reified neighborhood move: it can be applied to the solution it
-// was proposed on (producing a new, evaluated solution) or delta-evaluated
-// against that solution's schedule cache, and carries a tabu attribute
-// identifying the operator and the customers it touches.
-type Move interface {
-	// Apply materializes the move on s, the same solution it was
-	// proposed on, returning a new evaluated solution. s is not
-	// modified.
-	Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution
-	// Delta returns the objectives of the solution Apply would produce,
-	// agreeing with it to within floating-point noise (well below 1e-9),
-	// in time proportional to the changed segments rather than the
-	// touched routes. e must be the schedule cache of s. The second
-	// result reports whether the delta could be computed; callers fall
-	// back to Apply when it is false.
-	Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool)
-	// Attribute is the move's tabu identity.
-	Attribute() tabu.Attribute
-	// Operator names the operator that produced the move.
-	Operator() string
-}
-
 // Operator proposes random feasible moves on a solution.
 type Operator interface {
+	// Name is the operator's telemetry and checkpoint name.
 	Name() string
 	// Propose attempts to generate one random move on s that passes
 	// the local feasibility criterion. It reports failure when it finds
-	// none within its internal attempt budget.
-	Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool)
-	// ProposeData is Propose in the flat encoding: the same proposal
-	// logic and random draws, returning the move as a MoveData instead of
-	// a boxed Move. The hot path uses it exclusively — it never heap-
-	// allocates.
-	ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool)
-}
-
-// boxed adapts an operator's ProposeData to the Move-returning Propose
-// signature. Every operator's Propose is this one-liner, so the two paths
-// cannot drift apart.
-func boxed(o Operator, in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	d, ok := o.ProposeData(in, s, r)
-	if !ok {
-		return nil, false
-	}
-	return d.Move(), true
+	// none within its internal attempt budget. It never heap-allocates.
+	Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool)
 }
 
 // All returns fresh instances of the paper's five operators, in the order
@@ -87,12 +50,6 @@ const proposeAttempts = 30
 // fallback, after which further draws of the operator fail fast.
 const granFallbackBudget = 1
 
-// Neighbor pairs a move with the evaluated solution it produces.
-type Neighbor struct {
-	Move Move
-	Sol  *solution.Solution
-}
-
 // Generator draws random moves on a solution from a set of operators with
 // equal probability. The zero value is unusable; construct with
 // NewGenerator. A Generator is not safe for concurrent use: it shares the
@@ -102,7 +59,7 @@ type Generator struct {
 	in  *vrptw.Instance
 	ops []Operator
 	// MaxFailures bounds the total number of failed proposals in one
-	// Neighborhood call, preventing livelock on solutions with very few
+	// MovesInto call, preventing livelock on solutions with very few
 	// feasible moves. Defaults to 50 failures per requested neighbor.
 	MaxFailures int
 	// DeltaStats, when non-nil, counts delta-evaluated candidates vs.
@@ -111,9 +68,6 @@ type Generator struct {
 	// (disabled, one branch per candidate).
 	DeltaStats  *telemetry.DeltaStats
 	SpliceStats *telemetry.SpliceStats
-	// Ops, when non-nil, receives the generation-side funnel telemetry:
-	// per-operator proposal exhaustions and granular-list fallbacks.
-	Ops *telemetry.OpTable
 	// Granular, when non-nil, switches MovesInto to the granular proposal
 	// paths: operators draw only moves whose key created arc lies in the
 	// sparse k-nearest graph, falling back to the full proposal path when
@@ -125,11 +79,15 @@ type Generator struct {
 	// (it shares the caller's random stream).
 	EvalWorkers int
 
-	lastEval *solution.Eval
-	names    []string           // static operator names, aligned with ops
-	gran     []granularProposer // granular paths, aligned with ops (nil entries: full only)
-	granFB   []uint8            // per-sweep fallback count; granular path memoized dead at the budget
-	parEvals []*solution.Eval   // per-worker schedule caches for EvalWorkers
+	lastEval  *solution.Eval
+	gran      []granularProposer // granular paths, aligned with ops (nil entries: full only)
+	granFB    []uint8            // per-sweep fallback count; granular path memoized dead at the budget
+	parEvals  []*solution.Eval   // per-worker schedule caches for EvalWorkers
+	kindNames [NumKinds]string   // Name() of the first operator proposing each kind
+	// Funnel entries resolved by SetOps: per operator (aligned with ops)
+	// and per move kind.
+	opStats   []*telemetry.OpStats
+	kindStats [NumKinds]*telemetry.OpStats
 }
 
 // NewGenerator returns a Generator over the given operators (All() if ops
@@ -139,70 +97,42 @@ func NewGenerator(in *vrptw.Instance, ops []Operator) *Generator {
 		ops = All()
 	}
 	g := &Generator{in: in, ops: ops}
-	g.names = make([]string, len(ops))
 	g.gran = make([]granularProposer, len(ops))
 	g.granFB = make([]uint8, len(ops))
+	g.opStats = make([]*telemetry.OpStats, len(ops))
 	for i, op := range ops {
-		g.names[i] = op.Name()
 		g.gran[i], _ = op.(granularProposer)
+		if k := kindOf(op); k != KindNone && g.kindNames[k] == "" {
+			g.kindNames[k] = op.Name()
+		}
 	}
 	return g
 }
 
-// Neighborhood proposes up to size moves on s and applies each one,
-// returning the evaluated neighbors. Fewer than size neighbors are
-// returned only when the failure budget is exhausted. Every returned
-// neighbor counts as one objective-function evaluation.
-func (g *Generator) Neighborhood(s *solution.Solution, r *rng.Rand, size int) []Neighbor {
-	moves := g.Moves(s, r, size)
-	out := make([]Neighbor, len(moves))
-	for i, m := range moves {
-		out[i] = Neighbor{Move: m, Sol: m.Apply(g.in, s)}
+// KindName is the name a move of kind k is counted and checkpointed
+// under: the Name() of the first configured operator that proposes k, or
+// "" when none does.
+func (g *Generator) KindName(k MoveKind) string { return g.kindNames[k] }
+
+// SetOps attaches the operator funnel table (nil detaches it), resolving
+// every entry once: MovesInto counts each operator's exhaustions and
+// granular fallbacks under its Name(), and KindStats serves the entry of
+// a proposed move by its kind — an array index on the hot path instead of
+// a name lookup per candidate.
+func (g *Generator) SetOps(t *telemetry.OpTable) {
+	for i, op := range g.ops {
+		g.opStats[i] = t.Get(op.Name())
 	}
-	return out
-}
-
-// Candidate pairs a proposed move with the objectives of the solution it
-// would produce. The solution itself is not materialized; apply the move
-// when (and only when) the full solution is needed.
-type Candidate struct {
-	Move Move
-	Obj  solution.Objectives
-}
-
-// Candidates proposes up to size moves on s and delta-evaluates each one
-// against s's schedule cache, returning objectives-only candidates. This
-// is the search's hot path: one route-schedule rebuild per distinct s,
-// then O(1)–O(segment) per candidate, instead of one full materialization
-// per candidate. Every returned candidate counts as one objective-function
-// evaluation, exactly like a materialized neighbor.
-func (g *Generator) Candidates(s *solution.Solution, r *rng.Rand, size int) []Candidate {
-	return g.EvalMoves(s, g.Moves(s, r, size))
-}
-
-// EvalMoves delta-evaluates an already-proposed move set against s's
-// schedule cache, falling back to Apply per move when the delta declines.
-// The synchronous master proposes the whole neighborhood itself (keeping
-// its random stream — and so its trajectory — identical to the sequential
-// searcher's) and ships move slices to the workers, who evaluate them with
-// this method. Evaluation is deterministic in (s, moves): a chunk
-// re-evaluated by the master after a worker loss yields bit-identical
-// objectives.
-func (g *Generator) EvalMoves(s *solution.Solution, moves []Move) []Candidate {
-	e := g.eval(s)
-	out := make([]Candidate, len(moves))
-	for i, m := range moves {
-		obj, ok := m.Delta(g.in, s, e)
-		if !ok {
-			g.DeltaStats.Fallback()
-			obj = m.Apply(g.in, s).Obj
-		} else {
-			g.DeltaStats.Fast()
+	for k, name := range g.kindNames {
+		if name != "" {
+			g.kindStats[k] = t.Get(name)
 		}
-		out[i] = Candidate{Move: m, Obj: obj}
 	}
-	return out
 }
+
+// KindStats returns the funnel entry moves of kind k count under (nil
+// when no table is attached or no configured operator proposes k).
+func (g *Generator) KindStats(k MoveKind) *telemetry.OpStats { return g.kindStats[k] }
 
 // eval returns the schedule cache for s, rebuilding only when s differs
 // from the last evaluated solution.
@@ -214,26 +144,6 @@ func (g *Generator) eval(s *solution.Solution) *solution.Eval {
 	}
 	g.lastEval.Stats = g.SpliceStats
 	return g.lastEval
-}
-
-// Moves proposes up to size moves on s without applying them, boxed. The
-// ablation benchmarks and tests use it; the search drives MovesInto.
-func (g *Generator) Moves(s *solution.Solution, r *rng.Rand, size int) []Move {
-	budget := g.MaxFailures
-	if budget == 0 {
-		budget = 50 * size
-	}
-	moves := make([]Move, 0, size)
-	for len(moves) < size && budget > 0 {
-		oi := r.Intn(len(g.ops))
-		if m, ok := g.ops[oi].Propose(g.in, s, r); ok {
-			moves = append(moves, m)
-		} else {
-			g.Ops.Get(g.names[oi]).Exhaust()
-			budget--
-		}
-	}
-	return moves
 }
 
 // CandidateBuffer holds the reusable storage of one candidate sweep: the
@@ -249,13 +159,13 @@ type CandidateBuffer struct {
 }
 
 // MovesInto proposes up to size moves on s into buf.Data (reusing its
-// storage), drawing from the granular paths when g.Granular is set. Failed
-// proposals consume the shared failure budget exactly as Moves; a granular
-// path that finds nothing within its attempt budget falls back to the full
-// path before the failure is charged, so granular search degrades — never
-// livelocks — on solutions whose sparse neighborhoods are exhausted. The
-// solution is fixed for the whole sweep, so each operator's fallbacks are
-// memoized: after granFallbackBudget fallbacks, further draws of the same
+// storage), drawing from the granular paths when g.Granular is set. Each
+// draw picks an operator uniformly and every failed proposal consumes the
+// shared failure budget; a granular path that finds nothing within its
+// attempt budget falls back to the full path before the failure is
+// charged, so granular search degrades — never livelocks — on solutions
+// whose sparse neighborhoods are exhausted. The solution is fixed for the
+// whole sweep, so each operator's fallbacks are memoized: after granFallbackBudget fallbacks, further draws of the same
 // operator count as exhausted and the sweep redraws — keeping the
 // neighborhood granular (the point of the sparse graph) instead of
 // silently degrading to the dense proposal path.
@@ -281,19 +191,19 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 			d, ok = g.gran[oi].proposeGranular(g.in, s, &buf.pos, g.Granular, r)
 			if !ok {
 				g.granFB[oi]++
-				g.Ops.Get(g.names[oi]).Fallback()
-				d, ok = g.ops[oi].ProposeData(g.in, s, r)
+				g.opStats[oi].Fallback()
+				d, ok = g.ops[oi].Propose(g.in, s, r)
 			}
 		case granular && g.gran[oi] != nil:
 			// Memoized: the granular path already exhausted on this
 			// solution and the fallback budget is spent; fail the draw.
 		default:
-			d, ok = g.ops[oi].ProposeData(g.in, s, r)
+			d, ok = g.ops[oi].Propose(g.in, s, r)
 		}
 		if ok {
 			buf.Data = append(buf.Data, d)
 		} else {
-			g.Ops.Get(g.names[oi]).Exhaust()
+			g.opStats[oi].Exhaust()
 			budget--
 		}
 	}

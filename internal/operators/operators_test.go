@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -39,6 +40,13 @@ func greedyFill(in *vrptw.Instance) *solution.Solution {
 	return solution.New(in, routes)
 }
 
+// proposeMoves runs one MovesInto sweep into a fresh buffer.
+func proposeMoves(g *Generator, s *solution.Solution, r *rng.Rand, size int) []MoveData {
+	var buf CandidateBuffer
+	g.MovesInto(&buf, s, r, size)
+	return buf.Data
+}
+
 func TestAllOperatorsPreserveInvariants(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 40, 11)
 	s := greedyFill(in)
@@ -52,7 +60,7 @@ func TestAllOperatorsPreserveInvariants(t *testing.T) {
 			}
 			next := m.Apply(in, s)
 			if err := solution.Validate(in, next); err != nil {
-				t.Fatalf("%s: invalid solution after %v: %v", op.Name(), m, err)
+				t.Fatalf("%s: invalid solution after %+v: %v", op.Name(), m, err)
 			}
 			// Operator design guarantees capacity feasibility.
 			for i, l := range next.Load {
@@ -81,7 +89,7 @@ func TestMovesProduceDifferentSolutions(t *testing.T) {
 			}
 			next := m.Apply(in, s)
 			if sameRoutes(s, next) {
-				t.Fatalf("%s: %v produced an identical solution", op.Name(), m)
+				t.Fatalf("%s: %+v produced an identical solution", op.Name(), m)
 			}
 		}
 	}
@@ -262,15 +270,15 @@ func TestGeneratorNeighborhoodSize(t *testing.T) {
 	s := greedyFill(in)
 	g := NewGenerator(in, nil)
 	r := rng.New(5)
-	nbh := g.Neighborhood(s, r, 40)
-	if len(nbh) != 40 {
-		t.Fatalf("neighborhood size %d, want 40", len(nbh))
+	moves := proposeMoves(g, s, r, 40)
+	if len(moves) != 40 {
+		t.Fatalf("neighborhood size %d, want 40", len(moves))
 	}
-	for i, nb := range nbh {
-		if nb.Move == nil || nb.Sol == nil {
-			t.Fatalf("neighbor %d incomplete", i)
+	for i, m := range moves {
+		if m.Kind == KindNone {
+			t.Fatalf("neighbor %d has no move kind", i)
 		}
-		if err := solution.Validate(in, nb.Sol); err != nil {
+		if err := solution.Validate(in, m.Apply(in, s)); err != nil {
 			t.Fatalf("neighbor %d invalid: %v", i, err)
 		}
 	}
@@ -288,9 +296,8 @@ func TestGeneratorFailureBudget(t *testing.T) {
 	}
 	s := solution.New(in, [][]int{{1}})
 	g := NewGenerator(in, nil)
-	nbh := g.Neighborhood(s, rng.New(1), 10)
-	if len(nbh) != 0 {
-		t.Fatalf("expected empty neighborhood, got %d", len(nbh))
+	if moves := proposeMoves(g, s, rng.New(1), 10); len(moves) != 0 {
+		t.Fatalf("expected empty neighborhood, got %d", len(moves))
 	}
 }
 
@@ -298,24 +305,29 @@ func TestGeneratorDeterminism(t *testing.T) {
 	in := genInstance(t, vrptw.C1, 40, 17)
 	s := greedyFill(in)
 	g := NewGenerator(in, nil)
-	a := g.Neighborhood(s, rng.New(42), 30)
-	b := g.Neighborhood(s, rng.New(42), 30)
-	if len(a) != len(b) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
+	var a, b CandidateBuffer
+	g.CandidatesInto(&a, s, rng.New(42), 30)
+	g.CandidatesInto(&b, s, rng.New(42), 30)
+	if len(a.Data) != len(b.Data) {
+		t.Fatalf("sizes differ: %d vs %d", len(a.Data), len(b.Data))
 	}
-	for i := range a {
-		if a[i].Sol.Obj != b[i].Sol.Obj {
+	for i := range a.Data {
+		if a.Data[i] != b.Data[i] || a.Objs[i] != b.Objs[i] {
 			t.Fatalf("neighbor %d differs between identical seeds", i)
 		}
 	}
 }
 
+// TestAttributesStableAndOperatorSpecific checks every move kind: the tabu
+// attribute is stable and varies with the move, and the kind maps back to
+// the name of the operator that proposed it.
 func TestAttributesStableAndOperatorSpecific(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 30, 19)
 	s := greedyFill(in)
 	r := rng.New(21)
+	g := NewGenerator(in, Extended())
 	seen := map[string]map[uint64]bool{}
-	for _, op := range All() {
+	for _, op := range Extended() {
 		seen[op.Name()] = map[uint64]bool{}
 		for try := 0; try < 100; try++ {
 			if m, ok := op.Propose(in, s, r); ok {
@@ -323,8 +335,8 @@ func TestAttributesStableAndOperatorSpecific(t *testing.T) {
 					t.Fatalf("%s: unstable attribute", op.Name())
 				}
 				seen[op.Name()][uint64(m.Attribute())] = true
-				if m.Operator() != op.Name() {
-					t.Fatalf("move operator %q != %q", m.Operator(), op.Name())
+				if got := g.KindName(m.Kind); got != op.Name() {
+					t.Fatalf("move kind %d is named %q, want %q", m.Kind, got, op.Name())
 				}
 			}
 		}
@@ -334,13 +346,20 @@ func TestAttributesStableAndOperatorSpecific(t *testing.T) {
 	}
 }
 
+// TestMovesEvaluateLazily checks that MovesInto only proposes: no move is
+// delta-evaluated or applied until the caller asks, and a deferred Apply
+// still yields a valid solution.
 func TestMovesEvaluateLazily(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 40, 23)
 	s := greedyFill(in)
 	g := NewGenerator(in, nil)
-	moves := g.Moves(s, rng.New(2), 25)
+	g.DeltaStats = &telemetry.DeltaStats{}
+	moves := proposeMoves(g, s, rng.New(2), 25)
 	if len(moves) != 25 {
 		t.Fatalf("got %d moves, want 25", len(moves))
+	}
+	if n := g.DeltaStats.DeltaFast.Load() + g.DeltaStats.ApplyFallback.Load(); n != 0 {
+		t.Fatalf("MovesInto evaluated %d moves", n)
 	}
 	for _, m := range moves {
 		next := m.Apply(in, s)
@@ -375,20 +394,6 @@ func TestOperatorChainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkNeighborhood200(b *testing.B) {
-	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 100, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := greedyFill(in)
-	g := NewGenerator(in, nil)
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Neighborhood(s, r, 200)
 	}
 }
 

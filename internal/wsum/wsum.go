@@ -159,6 +159,7 @@ func scalar(o solution.Objectives, w Weights, ref solution.Objectives) float64 {
 // scalarized objective, with best-so-far aspiration.
 func singleObjectiveTS(in *vrptw.Instance, w Weights, budget int, cfg Config, r *rng.Rand) (*solution.Solution, int) {
 	gen := operators.NewGenerator(in, nil)
+	var buf operators.CandidateBuffer
 	tl := tabu.NewList(cfg.TabuTenure)
 
 	cur := construct.I1(in, construct.RandomParams(r))
@@ -168,17 +169,17 @@ func singleObjectiveTS(in *vrptw.Instance, w Weights, budget int, cfg Config, r 
 	evals := 1
 
 	for evals < budget {
-		cs := gen.Candidates(cur, r, cfg.NeighborhoodSize)
-		if len(cs) == 0 {
+		gen.CandidatesInto(&buf, cur, r, cfg.NeighborhoodSize)
+		if len(buf.Data) == 0 {
 			evals++
 			continue
 		}
-		evals += len(cs)
+		evals += len(buf.Data)
 		chosen := -1
 		chosenVal := math.Inf(1)
-		for i, c := range cs {
-			v := scalar(c.Obj, w, ref)
-			if tl.Contains(c.Move.Attribute()) && v >= bestVal {
+		for i, obj := range buf.Objs {
+			v := scalar(obj, w, ref)
+			if tl.Contains(buf.Data[i].Attribute()) && v >= bestVal {
 				continue // tabu without aspiration
 			}
 			if v < chosenVal {
@@ -190,8 +191,8 @@ func singleObjectiveTS(in *vrptw.Instance, w Weights, budget int, cfg Config, r 
 			cur = best
 			continue
 		}
-		cur = cs[chosen].Move.Apply(in, cur)
-		tl.Add(cs[chosen].Move.Attribute())
+		cur = buf.Data[chosen].Apply(in, cur)
+		tl.Add(buf.Data[chosen].Attribute())
 		if chosenVal < bestVal {
 			best, bestVal = cur, chosenVal
 		}

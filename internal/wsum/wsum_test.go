@@ -1,6 +1,9 @@
 package wsum
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -111,6 +114,12 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatalf("weight %d differs between identical runs", i)
 		}
 	}
+	// The pinned digest covers the seeded run's result: any change to the
+	// candidate sweep's random draws or to move semantics shows up here.
+	const want = "8de36043af839d5ef909502f12afab8acd4a765f11ad8851abba0d3b862d3de3"
+	if got := resultDigest(append(a.Front, a.PerWeight...), a.Evaluations); got != want {
+		t.Errorf("result digest %s, want %s", got, want)
+	}
 }
 
 func TestWeightsSteerTheSearch(t *testing.T) {
@@ -150,4 +159,22 @@ func TestScalarMonotone(t *testing.T) {
 	if scalar(a, w, ref) >= scalar(b, w, ref) {
 		t.Error("distance-only weights should rank the shorter solution better")
 	}
+}
+
+// resultDigest hashes a run's solution objectives (exact float bits) and
+// its counters, pinning the whole trajectory of a seeded run.
+func resultDigest(sols []*solution.Solution, counts ...int) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, s := range sols {
+		for _, v := range s.Obj.Values() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	for _, c := range counts {
+		binary.LittleEndian.PutUint64(b[:], uint64(c))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -51,7 +51,7 @@ TMP=$(mktemp)
 TMPTRACE=$(mktemp)
 trap 'rm -f "$TMP" "$TMPTRACE"' EXIT
 
-go test -run '^$' -bench 'BenchmarkDeltaVsApply|BenchmarkCandidates|BenchmarkNeighborhood' \
+go test -run '^$' -bench 'BenchmarkDeltaVsApply|BenchmarkCandidates' \
   -benchmem -benchtime "${BENCHTIME:-1s}" ./internal/operators/ | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkSearcherIteration|BenchmarkRunCheckpoint' \
   -benchmem -benchtime "${BENCHTIME:-1s}" ./internal/core/ | tee -a "$TMP"
