@@ -35,15 +35,19 @@ allocs:
 	$(GO) test -run 'TestSearcherIterationTelemetryAllocs|TestSearcherIterationTraceAllocs' -count 1 -v ./internal/core/
 
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
-# assertions on the sweep (full and granular) and the searcher's generate
-# path, plus one untimed pass over the 400-customer benchmarks so a broken
-# benchmark fails here rather than in a long scripts/bench.sh run. The
-# runner fails when a listed benchmark name matches nothing.
+# assertions on the sweep (full and granular, on one solution and over a
+# chain of applied moves that rebinds the caches every sweep) and the
+# searcher's generate path, plus one untimed pass over the 400-customer
+# benchmarks, the schedule-cache rebind and the Sim process handoff, so a
+# broken benchmark fails here rather than in a long scripts/bench.sh run.
+# The runner fails when a listed benchmark name matches nothing.
 bench-smoke:
 	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -count 1 -v ./internal/operators/
 	$(GO) test -run 'TestGenerateZeroAlloc' -count 1 -v ./internal/core/
 	GO=$(GO) ./scripts/benchsmoke.sh ./internal/operators/ BenchmarkCandidatesInto400 BenchmarkCandidatesGranular400
 	GO=$(GO) ./scripts/benchsmoke.sh ./internal/core/ BenchmarkSearcherIteration
+	GO=$(GO) ./scripts/benchsmoke.sh ./internal/solution/ BenchmarkEvalRebind
+	GO=$(GO) ./scripts/benchsmoke.sh ./internal/deme/ BenchmarkSimHandoff
 
 # metrics-lint boots a real tsmod daemon on an ephemeral port, pushes one
 # traced job through it, scrapes GET /metrics twice, and lints the

@@ -14,8 +14,11 @@ import (
 // and delta-evaluates its own neighbors (sending full candidates back);
 // the synchronous master ships the move span it proposed itself and the
 // worker only delta-evaluates it (sending an index-aligned objectives
-// span back). Received solutions are immutable and every worker builds its
+// span back). Received solutions are immutable and every worker keeps its
 // own schedule cache, so nothing mutable crosses the goroutine boundary.
+// The cache rebinds by route identity: consecutive solutions a worker
+// receives share most routes, and only the routes the master changed in
+// between are rebuilt.
 //
 // Receives are bounded by Config.RecvTimeout so an orphaned worker — its
 // master crashed before sending tagStop — notices via Proc.Alive and exits

@@ -1,9 +1,17 @@
+// The build constraint raises this file's language version to Go 1.23,
+// which iter.Pull needs. The module's go line stays at 1.22 because the
+// perfbench module, which requires this one, still declares go 1.22 and
+// would otherwise need its go.mod rewritten before it builds.
+
+//go:build go1.23
+
 package deme
 
 import (
-	"container/heap"
 	"context"
+	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 
@@ -11,10 +19,14 @@ import (
 )
 
 // Sim is the deterministic discrete-event backend. Process bodies run as
-// coroutines: exactly one goroutine — the scheduler or a single process —
-// executes at any moment, and the scheduler always advances the process
-// with the globally smallest virtual time, so results are independent of
-// host scheduling and fully reproducible.
+// coroutines built with iter.Pull: the scheduler resumes a process by
+// calling its next function, and the process hands control back by
+// calling the coroutine's yield function, a direct goroutine switch with
+// no channel operation or trip through the Go scheduler. Exactly one
+// goroutine — the scheduler or a single process — executes at any moment,
+// and the scheduler always advances the process with the globally
+// smallest virtual time, so results are independent of host scheduling
+// and fully reproducible.
 type Sim struct {
 	machine Machine
 	elapsed float64
@@ -22,7 +34,6 @@ type Sim struct {
 	// Per-Run state (one Run at a time). These live on Sim rather than
 	// in Run's frame so that simProc.Send can reach sibling mailboxes.
 	procs []*simProc
-	yield chan *simProc
 	seq   uint64
 	stats []ProcStats
 
@@ -53,18 +64,56 @@ type mail struct {
 	msg     Message
 }
 
+// mailHeap is a binary min-heap of mail ordered by (arrival, seq). The
+// order is total, so the pop sequence does not depend on the heap's
+// shape. Typed push/pop keep the hot path free of the interface boxing
+// container/heap needs.
 type mailHeap []mail
 
-func (h mailHeap) Len() int { return len(h) }
-func (h mailHeap) Less(i, j int) bool {
+func (h mailHeap) less(i, j int) bool {
 	if h[i].arrival != h[j].arrival {
 		return h[i].arrival < h[j].arrival
 	}
 	return h[i].seq < h[j].seq
 }
-func (h mailHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mailHeap) Push(x any)   { *h = append(*h, x.(mail)) }
-func (h *mailHeap) Pop() any     { old := *h; n := len(old); m := old[n-1]; *h = old[:n-1]; return m }
+
+func (h *mailHeap) push(m mail) {
+	q := append(*h, m)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *mailHeap) pop() mail {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = mail{} // drop the payload reference
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
+}
 
 type simProc struct {
 	sim    *Sim
@@ -80,7 +129,12 @@ type simProc struct {
 	deadline float64 // absolute wake deadline while blocked (Inf for Recv)
 	mailbox  mailHeap
 
-	resume chan struct{}
+	// next resumes the body's coroutine until it yields or returns;
+	// stop ends an unfinished coroutine; suspend is the coroutine's yield
+	// function, valid while the body runs.
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
 
 	// reply slot filled by the scheduler before resuming a receive.
 	replyMsg Message
@@ -134,7 +188,7 @@ func (p *simProc) Send(to, tag int, data any, bytes int) {
 	p.stat.BytesSent += bytes
 	target := p.sim.procs[to]
 	p.sim.seq++
-	heap.Push(&target.mailbox, mail{
+	target.mailbox.push(mail{
 		arrival: p.clock + m.Latency,
 		seq:     p.sim.seq,
 		msg:     Message{From: p.id, Tag: tag, Data: data, Bytes: bytes},
@@ -189,10 +243,33 @@ func (s *Sim) RestoreProcs(snaps []ProcSnapshot) {
 	s.restore = snaps
 }
 
-// yield hands control to the scheduler and waits to be resumed.
+// errStopped unwinds a body whose coroutine was stopped while suspended.
+var errStopped = errors.New("deme: process stopped")
+
+// yield hands control to the scheduler and returns when it resumes this
+// process. A coroutine stopped during teardown never resumes: the body
+// unwinds with errStopped, which the coroutine's own recover absorbs.
 func (p *simProc) yield() {
-	p.sim.yield <- p
-	<-p.resume
+	if !p.suspend(struct{}{}) {
+		panic(errStopped)
+	}
+}
+
+// start wraps body in p's coroutine. A panic in the body is recorded in
+// p.panicVal rather than propagated, so next and stop never panic. A body
+// that calls runtime.Goexit (t.FailNow in a test) ends the goroutine that
+// called Run as well, after Run has stopped the other processes.
+func (p *simProc) start(body func(Proc)) {
+	p.next, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		defer func() {
+			if r := recover(); r != nil && r != errStopped {
+				p.panicVal = r
+			}
+			p.state = stDone
+		}()
+		body(p)
+	})
 }
 
 // wake returns the virtual time at which a blocked process can proceed:
@@ -227,7 +304,6 @@ func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
 		return fmt.Errorf("deme: Run needs at least one process, got %d", n)
 	}
 	s.procs = make([]*simProc, n)
-	s.yield = make(chan *simProc)
 	s.seq = 0
 	seeder := rng.New(s.machine.Seed)
 	for i := range s.procs {
@@ -244,7 +320,6 @@ func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
 			jitter: jr,
 			speed:  speed,
 			state:  stReady,
-			resume: make(chan struct{}),
 		}
 	}
 	if s.restore != nil {
@@ -260,18 +335,17 @@ func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
 		s.restore = nil
 	}
 	for _, p := range s.procs {
-		go func(p *simProc) {
-			<-p.resume
-			defer func() {
-				if r := recover(); r != nil {
-					p.panicVal = r
-				}
-				p.state = stDone
-				s.yield <- p
-			}()
-			body(p)
-		}(p)
+		p.start(body)
 	}
+	// Every coroutine has finished when the loop below ends normally;
+	// stopping them all on the way out (a no-op for finished ones) also
+	// covers a scheduler that unwinds early, so no goroutine outlives Run.
+	defer func() {
+		for _, p := range s.procs {
+			p.stop()
+		}
+		s.procs = nil
+	}()
 
 	running := n
 	var firstPanic error
@@ -285,57 +359,39 @@ func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
 		}
 		events++
 		p := s.pickNext()
-		if cancelled && p != nil && p.state == stBlocked {
+		switch {
+		case cancelled && p != nil && p.state == stBlocked:
 			// Cancelled: release the receive at the process's current
 			// clock instead of sleeping to its mail or deadline, so
 			// the body can observe the cancellation at its loop head.
 			p.replyMsg, p.replyOK = Message{}, false
-			p.state = stReady
-			p.resume <- struct{}{}
-			q := <-s.yield
-			if q.state == stDone {
-				running--
-				if q.panicVal != nil && firstPanic == nil {
-					firstPanic = fmt.Errorf("deme: process %d panicked: %v", q.id, q.panicVal)
-				}
-			}
-			continue
-		}
-		if p == nil {
+		case p == nil:
 			// Global deadlock: every live process waits forever.
 			// Release them deterministically with ok=false.
 			p = s.minBlocked()
-			p.replyOK = false
-			p.replyMsg = Message{}
-			p.state = stReady
-		} else {
-			switch p.state {
-			case stTryRecv:
-				p.replyMsg, p.replyOK = s.deliver(p)
-			case stBlocked:
-				w := p.wake()
-				if math.IsInf(w, 1) {
-					// Only reachable when other procs can
-					// still send; pickNext guarantees w is
-					// minimal, so this is the deadlock path
-					// handled above. Defensive fallback:
-					p.replyOK = false
-					p.state = stReady
-					break
-				}
-				if w > p.clock {
-					p.clock = w
-				}
-				p.replyMsg, p.replyOK = s.deliver(p)
+			p.replyMsg, p.replyOK = Message{}, false
+		case p.state == stTryRecv:
+			p.replyMsg, p.replyOK = s.deliver(p)
+		case p.state == stBlocked:
+			w := p.wake()
+			if math.IsInf(w, 1) {
+				// Only reachable when other procs can still send;
+				// pickNext guarantees w is minimal, so this is the
+				// deadlock path handled above. Defensive fallback:
+				p.replyOK = false
+				break
 			}
+			if w > p.clock {
+				p.clock = w
+			}
+			p.replyMsg, p.replyOK = s.deliver(p)
 		}
 		p.state = stReady
-		p.resume <- struct{}{}
-		q := <-s.yield
-		if q.state == stDone {
+		p.next()
+		if p.state == stDone {
 			running--
-			if q.panicVal != nil && firstPanic == nil {
-				firstPanic = fmt.Errorf("deme: process %d panicked: %v", q.id, q.panicVal)
+			if p.panicVal != nil && firstPanic == nil {
+				firstPanic = fmt.Errorf("deme: process %d panicked: %v", p.id, p.panicVal)
 			}
 		}
 	}
@@ -348,7 +404,6 @@ func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
 		p.stat.End = p.clock
 		s.stats[i] = p.stat
 	}
-	s.procs, s.yield = nil, nil
 	return firstPanic
 }
 
@@ -404,7 +459,7 @@ func (s *Sim) minBlocked() *simProc {
 // time, so an empty result there means the deadline passed (timeout).
 func (s *Sim) deliver(p *simProc) (Message, bool) {
 	if len(p.mailbox) > 0 && p.mailbox[0].arrival <= p.clock {
-		m := heap.Pop(&p.mailbox).(mail)
+		m := p.mailbox.pop()
 		p.clock += s.machine.RecvOverhead
 		p.stat.MsgsReceived++
 		return m.msg, true

@@ -3,6 +3,8 @@ package deme
 import (
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestSimComputeAdvancesClock(t *testing.T) {
@@ -335,5 +337,35 @@ func TestSimNegativeComputePanics(t *testing.T) {
 	err := s.Run(1, func(p Proc) { p.Compute(-1) })
 	if err == nil {
 		t.Fatal("negative compute should panic and be reported")
+	}
+}
+
+// TestMailHeapOrder checks the typed mailbox heap against a linear-scan
+// reference under random interleavings of pushes and pops, with ties on
+// arrival broken by sequence number.
+func TestMailHeapOrder(t *testing.T) {
+	r := rng.New(11)
+	var h mailHeap
+	var ref []mail
+	seq := uint64(0)
+	for step := 0; step < 5000; step++ {
+		if len(ref) == 0 || r.Intn(3) > 0 {
+			seq++
+			m := mail{arrival: float64(r.Intn(20)), seq: seq}
+			h.push(m)
+			ref = append(ref, m)
+			continue
+		}
+		lo := 0
+		for i, m := range ref {
+			if m.arrival < ref[lo].arrival || m.arrival == ref[lo].arrival && m.seq < ref[lo].seq {
+				lo = i
+			}
+		}
+		got := h.pop()
+		if got.arrival != ref[lo].arrival || got.seq != ref[lo].seq {
+			t.Fatalf("step %d: pop = (%g, %d), want (%g, %d)", step, got.arrival, got.seq, ref[lo].arrival, ref[lo].seq)
+		}
+		ref = append(ref[:lo], ref[lo+1:]...)
 	}
 }

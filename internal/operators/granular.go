@@ -18,29 +18,45 @@ import (
 // delta.
 
 // PosIndex maps every customer of one solution to its (route, position)
-// pair so granular proposals can locate an arc endpoint in O(1). It is
-// memoized on the solution pointer and rebuilt in O(N) when it changes;
-// the storage is reused across rebuilds.
+// pair so granular proposals can locate an arc endpoint in O(1). The
+// storage is reused across solutions, and rebinding is incremental: route
+// slices are immutable once attached to a solution, so a route that sits
+// at the same index as in the last indexed solution, as the same slice,
+// still has correct entries, and only the customers of the other routes
+// are rewritten. A one-move child of the indexed solution rewrites one or
+// two routes, plus those that shifted down a slot when a route emptied.
+// The index remembers the *vrptw.Instance it was built against and
+// rebuilds in O(N) when that changes.
 type PosIndex struct {
 	sol   *solution.Solution
+	in    *vrptw.Instance
 	route []int32
 	pos   []int32
 }
 
-// Reset binds the index to s, rebuilding only when s differs from the
-// last indexed solution.
+// Reset binds the index to s, rewriting only the entries of routes that
+// differ from the last indexed solution's route at the same index.
 func (px *PosIndex) Reset(in *vrptw.Instance, s *solution.Solution) {
-	if px.sol == s {
+	if px.sol == s && px.in == in {
 		return
 	}
-	n := in.N() + 1
-	if cap(px.route) < n {
-		px.route = make([]int32, n)
-		px.pos = make([]int32, n)
+	var prev [][]int
+	if px.in == in {
+		prev = px.sol.Routes
+	} else {
+		n := in.N() + 1
+		if cap(px.route) < n {
+			px.route = make([]int32, n)
+			px.pos = make([]int32, n)
+		}
+		px.route = px.route[:n]
+		px.pos = px.pos[:n]
+		px.in = in
 	}
-	px.route = px.route[:n]
-	px.pos = px.pos[:n]
 	for ri, route := range s.Routes {
+		if ri < len(prev) && solution.SameRoute(prev[ri], route) {
+			continue
+		}
 		for pi, c := range route {
 			px.route[c] = int32(ri)
 			px.pos[c] = int32(pi)

@@ -2,6 +2,7 @@ package operators
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -166,6 +167,64 @@ func TestCandidatesZeroAlloc(t *testing.T) {
 			t.Errorf("%s: CandidatesInto allocates %.1f objects per sweep, want 0", tc.name, avg)
 		}
 	}
+
+	// The searcher's view: every sweep runs on the one-move child of the
+	// last, so the schedule cache and position index rebind incrementally
+	// each time. The chain includes a move that empties a route, and the
+	// cycle wraps from its end back to its start, an unrelated solution.
+	chain := []*solution.Solution{s}
+	r := rng.New(7)
+	ops := Extended()
+	for len(chain) < 12 {
+		cur := chain[len(chain)-1]
+		if d, ok := ops[r.Intn(len(ops))].Propose(in, cur, r); ok {
+			chain = append(chain, d.Apply(in, cur))
+		}
+	}
+	chain = append(chain, emptyRoute(in, chain[len(chain)-1], 1)...)
+	if last := chain[len(chain)-1]; len(last.Routes) >= len(chain[len(chain)-2].Routes) {
+		t.Fatal("chain does not drop a route")
+	}
+	for _, k := range []int{0, 15} {
+		g := NewGenerator(in, nil)
+		if k > 0 {
+			g.Granular = in.NeighborLists(k)
+		}
+		var buf CandidateBuffer
+		cycle := func() {
+			for _, cs := range chain {
+				g.CandidatesInto(&buf, cs, r, 200)
+			}
+		}
+		// Warm until a whole cycle runs without allocating: Reset moves
+		// schedule buffers between slots with their routes, so a buffer
+		// may first meet the chain's longest route a few cycles in.
+		warm := 0
+		for ; warm < 50 && mallocs(cycle) != 0; warm++ {
+		}
+		if warm == 50 {
+			t.Errorf("chain k=%d: still allocating after %d warm-up cycles", k, warm)
+		}
+		if n := mallocs(func() {
+			for i := 0; i < 20; i++ {
+				cycle()
+			}
+		}); n != 0 {
+			t.Errorf("chain k=%d: 20 warm cycles of %d rebinding sweeps allocate %d objects, want 0", k, len(chain), n)
+		}
+	}
+}
+
+// mallocs returns the exact number of heap allocations f makes, measured
+// like testing.AllocsPerRun (GOMAXPROCS 1) but without averaging, so a
+// single allocation over many sweeps still shows.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestEvalDataIntoParallelMatchesSerial pins the parallel evaluator's

@@ -53,8 +53,10 @@ const granFallbackBudget = 1
 // Generator draws random moves on a solution from a set of operators with
 // equal probability. The zero value is unusable; construct with
 // NewGenerator. A Generator is not safe for concurrent use: it shares the
-// caller's random stream and memoizes the schedule cache of the last
-// evaluated solution.
+// caller's random stream and keeps one schedule cache, rebound to each new
+// evaluated solution by route identity (see solution.Eval), so moving to
+// a solution that shares most routes with the last one rebuilds only the
+// routes that differ.
 type Generator struct {
 	in  *vrptw.Instance
 	ops []Operator
@@ -134,8 +136,8 @@ func (g *Generator) SetOps(t *telemetry.OpTable) {
 // when no table is attached or no configured operator proposes k).
 func (g *Generator) KindStats(k MoveKind) *telemetry.OpStats { return g.kindStats[k] }
 
-// eval returns the schedule cache for s, rebuilding only when s differs
-// from the last evaluated solution.
+// eval returns the schedule cache for s, rebinding it incrementally when s
+// differs from the last evaluated solution.
 func (g *Generator) eval(s *solution.Solution) *solution.Eval {
 	if g.lastEval == nil {
 		g.lastEval = solution.NewEval(g.in, s)

@@ -92,12 +92,37 @@ func sized(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// assign copies src's schedules into re's buffers.
+func (re *RouteEval) assign(src *RouteEval) {
+	re.Depart = append(re.Depart[:0], src.Depart...)
+	re.Dist = append(re.Dist[:0], src.Dist...)
+	re.Tard = append(re.Tard[:0], src.Tard...)
+	re.Load = append(re.Load[:0], src.Load...)
+	re.Latest = append(re.Latest[:0], src.Latest...)
+}
+
 // Eval is the delta-evaluation cache of one solution: a RouteEval per
 // route. It is bound to a specific *Solution; derive new solutions first
 // and Reset the cache afterwards. An Eval is not safe for concurrent use.
+//
+// Rebinding is incremental, keyed by route identity. Route slices are
+// immutable once attached to a Solution (see the package doc), and
+// WithRoutes shares every route a move did not touch, so a route slice
+// with the same backing array and length as one the cache already holds
+// has identical schedules under the same instance. Reset keeps such
+// RouteEvals and rebuilds only the others: a one-move child of the bound
+// solution costs the rebuild of at most two routes. The cache remembers
+// the *vrptw.Instance it was built against and rebuilds everything when
+// that changes (a mutated instance is a new pointer).
 type Eval struct {
 	sol *Solution
+	in  *vrptw.Instance
 	R   []RouteEval
+	// held[i] is the route whose schedules R[:cap(R)][i] holds, nil for
+	// none. It spans the full capacity of R, so a route that shifted down
+	// a slot is still found after R shrinks, and it keeps those routes
+	// alive, so their backing arrays are never recycled for other routes.
+	held [][]int
 	// Stats, when non-nil, classifies every SpliceMetrics exit (prefix
 	// fold, suffix early exit, resynchronization, full walk). nil — the
 	// default — records nothing and costs one branch per exit.
@@ -111,18 +136,62 @@ func NewEval(in *vrptw.Instance, s *Solution) *Eval {
 	return e
 }
 
-// Reset rebinds the cache to s, reusing the per-route buffers of previous
-// solutions where capacities allow.
+// maxShift is how many slots past its own index Reset looks for a route
+// the cache already holds. WithRoutes compacts an emptied route out of
+// the list, which moves every later route one slot down; a short window
+// also covers the few routes emptied between two solutions a worker sees.
+const maxShift = 4
+
+// SameRoute reports whether a and b are the same attached route slice:
+// the same backing array and the same length. Route slices are immutable
+// once attached, so such routes have equal contents. Empty routes never
+// match, so a slot without a route is always rebuilt.
+func SameRoute(a, b []int) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// Reset rebinds the cache to s. A route the cache already holds in its
+// own slot (same slice, same instance) keeps its schedules; one held a
+// few slots further on is copied down, which costs a memmove instead of a
+// rebuild; every other route is rebuilt. Buffers stay with their slot, so
+// each slot's capacity settles at the longest route it sees and a warm
+// cache rebinds without allocating. The result is bitwise equal to
+// NewEval(in, s).
 func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
 	e.sol = s
-	if cap(e.R) < len(s.Routes) {
-		e.R = make([]RouteEval, len(s.Routes))
-	} else {
-		e.R = e.R[:len(s.Routes)]
+	n := len(s.Routes)
+	if cap(e.R) < n {
+		grown := make([]RouteEval, n)
+		copy(grown, e.R[:cap(e.R)])
+		e.R = grown
+		held := make([][]int, n)
+		copy(held, e.held)
+		e.held = held
+	}
+	slots := e.R[:cap(e.R)]
+	if in != e.in {
+		clear(e.held)
+		e.in = in
 	}
 	for i, r := range s.Routes {
-		e.R[i].build(in, r)
+		if SameRoute(e.held[i], r) {
+			continue
+		}
+		src := -1
+		for j := i + 1; j < len(slots) && j <= i+maxShift; j++ {
+			if SameRoute(e.held[j], r) {
+				src = j
+				break
+			}
+		}
+		if src >= 0 {
+			slots[i].assign(&slots[src])
+		} else {
+			slots[i].build(in, r)
+		}
+		e.held[i] = r
 	}
+	e.R = slots[:n]
 }
 
 // Solution returns the solution this cache was built for.
@@ -152,6 +221,8 @@ func (e *Eval) Rebind(in *vrptw.Instance, s *Solution, from []int) {
 		fresh[i].build(in, s.Routes[i])
 	}
 	e.R = fresh
+	e.held = append([][]int(nil), s.Routes...)
+	e.in = in
 	e.sol = s
 }
 

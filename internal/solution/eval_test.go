@@ -361,3 +361,90 @@ func TestSpliceMetricsSingleCustomerRoute(t *testing.T) {
 		t.Errorf("Single(1): SpliceMetrics = (%g, %g), want (%g, %g)", gd, gt, dist, tard)
 	}
 }
+
+// oneMoveChild derives the child of s that relocates the first customer
+// of route 1 into route 3. When route 1 held one customer it empties and
+// WithRoutes shifts every later route down one slot.
+func oneMoveChild(in *vrptw.Instance, s *Solution) *Solution {
+	donor := append([]int(nil), s.Routes[1][1:]...)
+	recv := append(append([]int(nil), s.Routes[3]...), s.Routes[1][0])
+	return s.WithRoutes(in, []int{1, 3}, [][]int{donor, recv})
+}
+
+// TestEvalResetKeepsUntouchedRoutes pins the incremental rebind: after a
+// move that empties a route, so the later routes shift down a slot, Reset
+// keeps the schedules of every shared route and rebuilds only the changed
+// one. To tell a kept schedule from a rebuilt one, the test stretches
+// every service time of the instance in place before the Reset (real
+// code never mutates a bound instance): a rebuilt route picks the change
+// up, a kept one does not.
+func TestEvalResetKeepsUntouchedRoutes(t *testing.T) {
+	in := evalInstance(t, vrptw.R1, 60, 9)
+	s := capacityFill(in)
+	if len(s.Routes) < 5 {
+		t.Fatalf("need at least 5 routes, capacityFill produced %d", len(s.Routes))
+	}
+	// Shrink route 1 to one customer so the move below empties it.
+	rest := append(append([]int(nil), s.Routes[2]...), s.Routes[1][1:]...)
+	s = s.WithRoutes(in, []int{1, 2}, [][]int{s.Routes[1][:1], rest})
+	e := NewEval(in, s)
+	before := NewEval(in, s)
+	child := oneMoveChild(in, s)
+	if len(child.Routes) != len(s.Routes)-1 {
+		t.Fatalf("child has %d routes, want %d", len(child.Routes), len(s.Routes)-1)
+	}
+	for c := range in.Sites {
+		in.Sites[c].Service++
+	}
+	e.Reset(in, child)
+	after := NewEval(in, child)
+	same := func(a, b *RouteEval) bool {
+		for p := range b.Depart {
+			if a.Depart[p] != b.Depart[p] || a.Dist[p] != b.Dist[p] || a.Tard[p] != b.Tard[p] ||
+				a.Load[p] != b.Load[p] || a.Latest[p] != b.Latest[p] {
+				return false
+			}
+		}
+		return len(a.Depart) == len(b.Depart)
+	}
+	kept := 0
+	for i, r := range child.Routes {
+		j := -1
+		for k, pr := range s.Routes {
+			if SameRoute(r, pr) {
+				j = k
+			}
+		}
+		switch {
+		case j < 0 && !same(&e.R[i], &after.R[i]):
+			t.Errorf("route %d: changed route not rebuilt", i)
+		case j >= 0 && !same(&e.R[i], &before.R[j]):
+			t.Errorf("route %d (parent slot %d): shared route was rebuilt, not kept", i, j)
+		case j >= 0:
+			kept++
+		}
+	}
+	if want := len(child.Routes) - 1; kept != want {
+		t.Errorf("kept %d routes, want %d (all but the receiver)", kept, want)
+	}
+}
+
+// BenchmarkEvalRebind resets one cache back and forth between a
+// 400-customer solution and its one-move child (a relocation between two
+// routes), the rebind every searcher iteration and worker chunk pays.
+func BenchmarkEvalRebind(b *testing.B) {
+	in := evalInstance(b, vrptw.R1, 400, 1)
+	s := capacityFill(in)
+	child := oneMoveChild(in, s)
+	e := NewEval(in, s)
+	e.Reset(in, child) // size the receiver's slot for the longer route
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			e.Reset(in, child)
+		} else {
+			e.Reset(in, s)
+		}
+	}
+}
