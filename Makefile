@@ -77,14 +77,13 @@ recover-e2e:
 # dynamic-e2e runs the live re-optimization acceptance battery under the
 # race detector: the mutation model and splice/repair unit tests with the
 # live-equals-resume and bit-identical replay goldens across all variants,
-# the schedule-cache Rebind splice, the service PATCH/SSE/WAL e2e (batch
-# and inline mutations, epoch pinning, 409/400 surfaces, flight-recorder
-# marker, HTTP-level determinism), the tsmoctl mutate CLI with a timed
-# -script replay, and the kill -9 mutation-replay chaos test (a real tsmod
-# SIGKILLed in both exactly-once windows).
+# the service PATCH/SSE/WAL e2e (batch and inline mutations, epoch
+# pinning, 409/400 surfaces, flight-recorder marker, HTTP-level
+# determinism), the tsmoctl mutate CLI with a timed -script replay, and
+# the kill -9 mutation-replay chaos test (a real tsmod SIGKILLed in both
+# exactly-once windows).
 dynamic-e2e:
 	$(GO) test -race -count 1 ./internal/dynamic/
-	$(GO) test -race -count 1 -run 'TestEvalRebind' ./internal/solution/
 	$(GO) test -race -count 1 -run 'TestE2EDynamic|TestE2EMutate|TestE2EResumeGranularKMismatch' ./internal/service/
 	$(GO) test -race -count 1 -run 'TestMutateCommand' ./cmd/tsmoctl/
 	$(GO) test -race -count 1 -v -run 'TestKill9MutationReplay' ./cmd/tsmod/

@@ -228,15 +228,8 @@ func run(ctx context.Context, o options) error {
 		rt = frt
 	}
 
-	tel.Event("run_start", map[string]any{
-		"instance":  in.Name,
-		"customers": in.N(),
-		"algorithm": alg.String(),
-		"procs":     o.procs,
-		"evals":     o.evals,
-		"backend":   o.backend,
-		"seed":      o.seed,
-	})
+	tel.Emit(telemetry.RunStartEvent{Instance: in.Name, Customers: in.N(), Algorithm: alg.String(),
+		Procs: o.procs, Evals: o.evals, Backend: o.backend, Seed: o.seed})
 	tel.Logger().Info("run starting", "instance", in.Name, "algorithm", alg.String(), "procs", o.procs)
 
 	res, err := core.RunContext(ctx, alg, in, cfg, rt)
@@ -293,16 +286,18 @@ func run(ctx context.Context, o options) error {
 	}
 
 	if tel.Enabled() {
-		tel.Summary(map[string]any{
-			"instance":        in.Name,
-			"algorithm":       res.Algorithm.String(),
-			"procs":           res.Processors,
-			"evaluations":     res.Evaluations,
-			"iterations":      res.Iterations,
-			"shares":          res.Shares,
-			"elapsed_seconds": res.Elapsed,
-			"front_size":      len(res.Front),
+		tel.Emit(telemetry.SummaryEvent{
+			Instance:       in.Name,
+			Algorithm:      res.Algorithm.String(),
+			Procs:          res.Processors,
+			Evaluations:    res.Evaluations,
+			Iterations:     res.Iterations,
+			Shares:         res.Shares,
+			ElapsedSeconds: res.Elapsed,
+			FrontSize:      len(res.Front),
+			Counters:       tel.Snapshot(),
 		})
+		tel.Logger().Info("run summary written")
 		if err := tel.Close(); err != nil {
 			return err
 		}

@@ -196,28 +196,24 @@ func (s *searcher) maybeSample(p deme.Proc) {
 	// hypervolume (against the per-run reference fixed at init) and
 	// Schott's spacing, so convergence is observable while the run is
 	// still going.
-	if s.tel.Enabled() {
+	if s.tel.Sinks() {
 		objs := metrics.FeasibleObjs(s.archive.Items())
-		fields := map[string]any{
-			"proc":         p.ID(),
-			"evals":        s.evals,
-			"iteration":    s.iter,
-			"time":         p.Now(),
-			"archive_size": s.archive.Len(),
-			"nondom_size":  s.nondom.Len(),
-			"hypervolume":  metrics.Hypervolume(objs, s.hvRef),
-			"spacing":      metrics.Spacing(objs),
-			"hv_ref": map[string]float64{
-				"distance":  s.hvRef.Distance,
-				"vehicles":  s.hvRef.Vehicles,
-				"tardiness": s.hvRef.Tardiness,
-			},
+		ev := telemetry.SnapshotEvent{
+			Proc:        p.ID(),
+			Evals:       s.evals,
+			Iteration:   s.iter,
+			Time:        p.Now(),
+			ArchiveSize: s.archive.Len(),
+			NondomSize:  s.nondom.Len(),
+			Hypervolume: metrics.Hypervolume(objs, s.hvRef),
+			Spacing:     metrics.Spacing(objs),
+			HVRef:       telemetry.Objectives(s.hvRef),
 		}
 		if !math.IsInf(sm.BestDistance, 1) {
-			fields["best_distance"] = sm.BestDistance
-			fields["best_vehicles"] = sm.BestVehicles
+			bd, bv := sm.BestDistance, sm.BestVehicles
+			ev.BestDistance, ev.BestVehicles = &bd, &bv
 		}
-		s.tel.Event("snapshot", fields)
+		s.tel.Emit(ev)
 	}
 }
 
@@ -282,13 +278,8 @@ func (s *searcher) init(p deme.Proc) {
 		Vehicles:  s.cur.Obj.Vehicles + 1,
 		Tardiness: 2*s.cur.Obj.Tardiness + 1,
 	}
-	if s.tel.Enabled() {
-		s.tel.Event("init", map[string]any{
-			"proc":      p.ID(),
-			"distance":  s.cur.Obj.Distance,
-			"vehicles":  s.cur.Obj.Vehicles,
-			"tardiness": s.cur.Obj.Tardiness,
-		})
+	if s.tel.Sinks() {
+		s.tel.Emit(telemetry.InitEvent{Proc: p.ID(), Objectives: telemetry.Objectives(s.cur.Obj)})
 	}
 }
 
@@ -361,19 +352,13 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		noCandidate := sel < 0
 		consumed := s.restart()
 		s.ts.Restart(noCandidate, consumed)
-		if s.tel.Enabled() {
+		if s.tel.Sinks() {
 			trigger := "stagnation"
 			if noCandidate {
 				trigger = "no_candidate"
 			}
-			s.tel.Event("restart", map[string]any{
-				"proc":            p.ID(),
-				"iteration":       s.iter,
-				"trigger":         trigger,
-				"nondom_consumed": consumed,
-				"nondom_size":     s.nondom.Len(),
-				"archive_size":    s.archive.Len(),
-			})
+			s.tel.Emit(telemetry.RestartEvent{Proc: p.ID(), Iteration: s.iter, Trigger: trigger,
+				NondomConsumed: consumed, NondomSize: s.nondom.Len(), ArchiveSize: s.archive.Len()})
 		}
 		s.noImprovement = false
 	} else {
@@ -404,19 +389,16 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 			s.shareOut = append(s.shareOut, s.cur.Routes)
 		}
 		// Stream the accepted point: the solver service forwards these
-		// to its subscribers as the evolving Pareto front. Sinks (not
-		// Enabled) keeps instruments-only runs allocation-free here.
+		// to its subscribers as the evolving Pareto front.
 		if s.tel.Sinks() {
-			s.tel.Event("archive_accept", map[string]any{
-				"proc":         p.ID(),
-				"iteration":    s.iter,
-				"time":         p.Now(),
-				"distance":     s.cur.Obj.Distance,
-				"vehicles":     s.cur.Obj.Vehicles,
-				"tardiness":    s.cur.Obj.Tardiness,
-				"feasible":     s.cur.Obj.Feasible(),
-				"operator":     s.gen.KindName(selected),
-				"archive_size": s.archive.Len(),
+			s.tel.Emit(telemetry.AcceptEvent{
+				Proc:        p.ID(),
+				Iteration:   s.iter,
+				Time:        p.Now(),
+				Objectives:  telemetry.Objectives(s.cur.Obj),
+				Feasible:    s.cur.Obj.Feasible(),
+				Operator:    s.gen.KindName(selected),
+				ArchiveSize: s.archive.Len(),
 			})
 		}
 	}

@@ -142,31 +142,30 @@ type JobSpec struct {
 
 // Event is one entry of a job's event stream: service lifecycle events
 // (queued, started, done, failed, canceled) interleaved with solver events
-// tapped from the telemetry layer (init, archive_accept, restart,
-// decision, ...). Seq increases by one per event and doubles as the SSE
-// event id, so clients resume with Last-Event-ID.
+// tapped from the telemetry layer (init, archive_accept, snapshot,
+// restart, decision). Fields is a map for lifecycle events and the typed
+// telemetry event for solver events; both encode as one JSON object. Seq
+// increases by one per event and doubles as the SSE event id, so clients
+// resume with Last-Event-ID.
 type Event struct {
-	Seq    int            `json:"seq"`
-	TS     time.Time      `json:"ts"`
-	Name   string         `json:"name"`
-	Fields map[string]any `json:"fields,omitempty"`
+	Seq    int       `json:"seq"`
+	TS     time.Time `json:"ts"`
+	Name   string    `json:"name"`
+	Fields any       `json:"fields,omitempty"`
 }
 
 // FrontPoint is one member of a job's live Pareto-front mirror, built from
-// archive_accept events as they stream out of the searchers.
+// archive_accept events as they stream out of the searchers; it carries
+// the event's objective triple.
 type FrontPoint struct {
-	Distance  float64 `json:"distance"`
-	Vehicles  float64 `json:"vehicles"`
-	Tardiness float64 `json:"tardiness"`
+	telemetry.Objectives
 	Feasible  bool    `json:"feasible"`
 	Proc      int     `json:"proc"`
 	Iteration int     `json:"iteration"`
 	Time      float64 `json:"time"`
 }
 
-func (p FrontPoint) objectives() solution.Objectives {
-	return solution.Objectives{Distance: p.Distance, Vehicles: p.Vehicles, Tardiness: p.Tardiness}
-}
+func (p FrontPoint) objectives() solution.Objectives { return solution.Objectives(p.Objectives) }
 
 // maxEvents bounds a job's retained event buffer. Older events are dropped
 // oldest-first; an SSE resume pointing before the retained window restarts
@@ -460,15 +459,14 @@ func newJob(spec JobSpec, limits *Config) (*Job, error) {
 }
 
 // observe is the telemetry event hook. It runs on solver goroutines while
-// the job is running, so everything it touches is guarded by j.mu. The
-// fields map is freshly allocated per emission by the call sites, so
-// retaining it is safe.
-func (j *Job) observe(name string, fields map[string]any) {
+// the job is running, so everything it touches is guarded by j.mu. Events
+// are values, so retaining them in the event buffer is safe.
+func (j *Job) observe(ev telemetry.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch name {
-	case "init":
-		obj := objFromFields(fields)
+	switch e := ev.(type) {
+	case telemetry.InitEvent:
+		obj := solution.Objectives(e.Objectives)
 		if !j.haveRef {
 			// Same reference-point convention as the searcher's own
 			// hypervolume telemetry: a box comfortably dominating the
@@ -480,43 +478,34 @@ func (j *Job) observe(name string, fields map[string]any) {
 			}
 			j.haveRef = true
 		}
-		j.insertPointLocked(FrontPoint{
-			Distance: obj.Distance, Vehicles: obj.Vehicles, Tardiness: obj.Tardiness,
-			Feasible: obj.Feasible(), Proc: fieldInt(fields, "proc"),
-		})
-	case "archive_accept":
-		obj := objFromFields(fields)
-		j.insertPointLocked(FrontPoint{
-			Distance: obj.Distance, Vehicles: obj.Vehicles, Tardiness: obj.Tardiness,
-			Feasible:  obj.Feasible(),
-			Proc:      fieldInt(fields, "proc"),
-			Iteration: fieldInt(fields, "iteration"),
-			Time:      fieldFloat(fields, "time"),
-		})
-	case "snapshot":
+		j.insertPointLocked(FrontPoint{Objectives: e.Objectives, Feasible: obj.Feasible(), Proc: e.Proc})
+	case telemetry.AcceptEvent:
+		j.insertPointLocked(FrontPoint{Objectives: e.Objectives, Feasible: e.Feasible, Proc: e.Proc,
+			Iteration: e.Iteration, Time: e.Time})
+	case telemetry.SnapshotEvent:
 		// Periodic convergence snapshot (Config.SampleEvery grid): feed
 		// the flight recorder. Only run-deterministic fields go in, so two
 		// same-seed sim recordings are bit-identical (see package flight).
 		sm := flight.Sample{
-			Evals:       int64(fieldInt(fields, "evals")),
-			Iteration:   int64(fieldInt(fields, "iteration")),
-			Time:        fieldFloat(fields, "time"),
-			ArchiveSize: fieldInt(fields, "archive_size"),
-			NondomSize:  fieldInt(fields, "nondom_size"),
-			Hypervolume: fieldFloat(fields, "hypervolume"),
-			Spacing:     fieldFloat(fields, "spacing"),
+			Evals:       int64(e.Evals),
+			Iteration:   int64(e.Iteration),
+			Time:        e.Time,
+			ArchiveSize: e.ArchiveSize,
+			NondomSize:  e.NondomSize,
+			Hypervolume: e.Hypervolume,
+			Spacing:     e.Spacing,
 		}
 		if sm.Time > 0 {
 			sm.EvalsPerSec = float64(sm.Evals) / sm.Time
 		}
-		if ops := j.tel.Operators().Snapshot(); len(ops) > 0 {
-			sm.AcceptRates = make(map[string]float64, len(ops))
-			for op, st := range ops {
-				if r, ok := st["accept_rate"].(float64); ok {
-					sm.AcceptRates[op] = r
-				}
+		j.tel.Operators().Range(func(name string, o *telemetry.OpStats) {
+			if sm.AcceptRates == nil {
+				sm.AcceptRates = make(map[string]float64)
 			}
-		}
+			if _, acc, ok := o.Rates(); ok {
+				sm.AcceptRates[name] = acc
+			}
+		})
 		// The first sample after a mutation epoch carries its marker.
 		// Derived from the run-deterministic mutation log, so identical
 		// (seed, mutation log) replays carry identical markers.
@@ -524,7 +513,7 @@ func (j *Job) observe(name string, fields map[string]any) {
 		j.pendingMarker = ""
 		j.fr.Observe(sm)
 	}
-	j.appendEventLocked(name, fields)
+	j.appendEventLocked(ev.Kind(), ev)
 }
 
 // mutationApplied observes one applied mutation epoch (the schedule's
@@ -571,7 +560,7 @@ func (j *Job) insertPointLocked(pt FrontPoint) {
 
 // appendEventLocked appends to the bounded event buffer and wakes every
 // stream subscriber by closing and replacing the notify channel.
-func (j *Job) appendEventLocked(name string, fields map[string]any) {
+func (j *Job) appendEventLocked(name string, fields any) {
 	j.lastSeq++
 	j.events = append(j.events, Event{Seq: j.lastSeq, TS: time.Now(), Name: name, Fields: fields})
 	if len(j.events) > maxEvents {
@@ -903,37 +892,4 @@ func (j *Job) Cancel() State {
 	state := j.state
 	j.mu.Unlock()
 	return state
-}
-
-// objFromFields decodes the objective triple carried by solver events.
-func objFromFields(fields map[string]any) solution.Objectives {
-	return solution.Objectives{
-		Distance:  fieldFloat(fields, "distance"),
-		Vehicles:  fieldFloat(fields, "vehicles"),
-		Tardiness: fieldFloat(fields, "tardiness"),
-	}
-}
-
-func fieldFloat(fields map[string]any, key string) float64 {
-	switch v := fields[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	}
-	return 0
-}
-
-func fieldInt(fields map[string]any, key string) int {
-	switch v := fields[key].(type) {
-	case int:
-		return v
-	case int64:
-		return int(v)
-	case float64:
-		return int(v)
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -114,15 +115,18 @@ func (m *svcMetrics) complete(state, tn string, queued, total time.Duration, saw
 // Called exactly once per job (the job's doneOnce).
 func (m *svcMetrics) fold(jobID string, samples []telemetry.Sample) {
 	m.mu.Lock()
-	for _, s := range samples {
-		k := s.Key()
-		r := m.retired[k]
-		r.Name, r.LabelKey, r.LabelValue = s.Name, s.LabelKey, s.LabelValue
-		r.V += s.V
-		m.retired[k] = r
-	}
+	addSamples(m.retired, samples)
 	m.folded[jobID] = true
 	m.mu.Unlock()
+}
+
+// addSamples sums samples into acc, one entry per series.
+func addSamples(acc map[string]telemetry.Sample, samples []telemetry.Sample) {
+	for _, s := range samples {
+		k := s.Key()
+		s.V += acc[k].V
+		acc[k] = s
+	}
 }
 
 // forget drops an evicted job's folded marker. Its retired sums stay.
@@ -225,20 +229,10 @@ func (m *svcMetrics) writeMetrics(w io.Writer, st Stats, jobs []*Job) error {
 	sort.Slice(tfp, func(i, j int) bool { return tfp[i].Labels[0][1] < tfp[j].Labels[0][1] })
 
 	// Solver counters: retired ledger + live counters of unfolded jobs.
-	agg := make(map[string]telemetry.Sample, len(m.retired))
-	for k, s := range m.retired {
-		agg[k] = s
-	}
+	agg := maps.Clone(m.retired)
 	for _, j := range jobs {
-		if m.folded[j.ID] {
-			continue
-		}
-		for _, s := range j.tel.Samples() {
-			k := s.Key()
-			r := agg[k]
-			r.Name, r.LabelKey, r.LabelValue = s.Name, s.LabelKey, s.LabelValue
-			r.V += s.V
-			agg[k] = r
+		if !m.folded[j.ID] {
+			addSamples(agg, j.tel.Samples())
 		}
 	}
 	m.mu.Unlock()
@@ -273,14 +267,9 @@ func (m *svcMetrics) writeMetrics(w io.Writer, st Stats, jobs []*Job) error {
 			return err
 		}
 	}
-	keys := make([]string, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	solver := make([]telemetry.Sample, 0, len(agg))
-	for _, k := range keys {
-		solver = append(solver, agg[k])
+	for _, s := range agg {
+		solver = append(solver, s)
 	}
-	return telemetry.WritePromSamples(w, solver)
+	return telemetry.WritePromSamples(w, solver) // sorts by series
 }

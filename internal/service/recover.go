@@ -147,7 +147,8 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 			if ff := s.loadResult(id); ff != nil {
 				j.restored = ff
 				for _, sol := range ff.Solutions {
-					pt := FrontPoint{Distance: sol.Distance, Vehicles: sol.Vehicles, Tardiness: sol.Tardiness}
+					var pt FrontPoint
+					pt.Distance, pt.Vehicles, pt.Tardiness = sol.Distance, sol.Vehicles, sol.Tardiness
 					pt.Feasible = pt.objectives().Feasible()
 					j.front = append(j.front, pt)
 				}

@@ -197,35 +197,6 @@ func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
 // Solution returns the solution this cache was built for.
 func (e *Eval) Solution() *Solution { return e.sol }
 
-// Rebind splices the cache onto a solution derived from the currently
-// bound one, rebuilding only the routes that actually changed. from maps
-// each route index of s to the index of the identical route in the
-// previous solution, or -1 for a route that is new or was modified; the
-// schedules of mapped routes are adopted as-is. This is the dynamic
-// subsystem's repair path: after an instance mutation patches a handful
-// of routes, the other schedule caches are carried over instead of being
-// recomputed. Mapped routes must be unchanged both in content and in the
-// instance data they touch (the caller guarantees the mutation did not
-// affect their sites).
-func (e *Eval) Rebind(in *vrptw.Instance, s *Solution, from []int) {
-	if len(from) != len(s.Routes) {
-		panic("solution: Rebind mapping length mismatch")
-	}
-	old := e.R
-	fresh := make([]RouteEval, len(s.Routes))
-	for i, src := range from {
-		if src >= 0 {
-			fresh[i] = old[src]
-			continue
-		}
-		fresh[i].build(in, s.Routes[i])
-	}
-	e.R = fresh
-	e.held = append([][]int(nil), s.Routes...)
-	e.in = in
-	e.sol = s
-}
-
 // PrefixLoad returns the summed demand of the first p customers of route r
 // in O(1).
 func (e *Eval) PrefixLoad(r, p int) float64 { return e.R[r].Load[p] }

@@ -264,88 +264,6 @@ func TestEvalResetReusesBuffers(t *testing.T) {
 	}
 }
 
-func TestEvalRebind(t *testing.T) {
-	in := evalInstance(t, vrptw.R1, 60, 9)
-	s := capacityFill(in)
-	if len(s.Routes) < 3 {
-		t.Fatalf("need at least 3 routes, capacityFill produced %d", len(s.Routes))
-	}
-	e := NewEval(in, s)
-
-	// Derive a solution that permutes the untouched routes, reverses one
-	// (changed content → rebuilt) and splits another into two new routes.
-	last := len(s.Routes) - 1
-	reversed := make([]int, len(s.Routes[0]))
-	for i, c := range s.Routes[0] {
-		reversed[len(reversed)-1-i] = c
-	}
-	split := s.Routes[1]
-	half := len(split) / 2
-	if half == 0 {
-		t.Fatalf("route 1 too short to split: %v", split)
-	}
-	routes := [][]int{s.Routes[last], reversed, split[:half], split[half:]}
-	from := []int{last, -1, -1, -1}
-	for ri := 2; ri < last; ri++ {
-		routes = append(routes, s.Routes[ri])
-		from = append(from, ri)
-	}
-	derived := New(in, routes)
-	if len(derived.Routes) != len(routes) {
-		t.Fatalf("New dropped routes: %d of %d survive", len(derived.Routes), len(routes))
-	}
-
-	// Remember the backing arrays of the adopted sources: Rebind must carry
-	// the cached schedules over, not recompute them.
-	adoptedBacking := map[int]*float64{last: &e.R[last].Depart[0]}
-	for ri := 2; ri < last; ri++ {
-		adoptedBacking[ri] = &e.R[ri].Depart[0]
-	}
-
-	e.Rebind(in, derived, from)
-	if e.Solution() != derived {
-		t.Fatal("Rebind did not rebind the cache to the derived solution")
-	}
-	if len(e.R) != len(derived.Routes) {
-		t.Fatalf("cache has %d routes, want %d", len(e.R), len(derived.Routes))
-	}
-	for i, src := range from {
-		if src < 0 {
-			continue
-		}
-		if &e.R[i].Depart[0] != adoptedBacking[src] {
-			t.Errorf("route %d: mapped from %d but schedule was rebuilt, not adopted", i, src)
-		}
-	}
-
-	// Every route — adopted or rebuilt — must agree with a from-scratch
-	// cache of the derived solution.
-	fresh := NewEval(in, derived)
-	for ri := range fresh.R {
-		for p := range fresh.R[ri].Depart {
-			if e.R[ri].Depart[p] != fresh.R[ri].Depart[p] ||
-				e.R[ri].Dist[p] != fresh.R[ri].Dist[p] ||
-				e.R[ri].Tard[p] != fresh.R[ri].Tard[p] ||
-				e.R[ri].Load[p] != fresh.R[ri].Load[p] ||
-				e.R[ri].Latest[p] != fresh.R[ri].Latest[p] {
-				t.Fatalf("route %d pos %d: rebound cache differs from fresh build", ri, p)
-			}
-		}
-	}
-}
-
-func TestEvalRebindMappingMismatchPanics(t *testing.T) {
-	in := evalInstance(t, vrptw.R1, 30, 2)
-	s := capacityFill(in)
-	e := NewEval(in, s)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Rebind accepted a mapping shorter than the route list")
-		}
-	}()
-	e.Rebind(in, s, make([]int, len(s.Routes)-1))
-}
-
 func TestSpliceMetricsSingleCustomerRoute(t *testing.T) {
 	in := evalInstance(t, vrptw.R2, 10, 7)
 	s := New(in, [][]int{{1}, {2, 3, 4, 5, 6, 7, 8, 9, 10}})

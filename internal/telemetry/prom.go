@@ -35,122 +35,6 @@ func (s Sample) Key() string {
 	return s.Name + "{" + s.LabelKey + "=" + s.LabelValue + "}"
 }
 
-// Samples flattens every counter instrument into exposition samples. All
-// values are cumulative (counters), so an aggregator summing them across
-// instances stays monotone as long as it retires finished instances into
-// a persistent sum. Nil-safe: a disabled layer yields nil.
-func (t *Telemetry) Samples() []Sample {
-	if t == nil {
-		return nil
-	}
-	var out []Sample
-	add := func(name, lk, lv string, v float64) {
-		out = append(out, Sample{Name: name, LabelKey: lk, LabelValue: lv, V: v})
-	}
-	addc := func(name string, c *Counter) { add(name, "", "", float64(c.Load())) }
-
-	addc("tsmo_search_iterations_total", &t.Search.Iterations)
-	addc("tsmo_search_evaluations_total", &t.Search.Evaluations)
-	add("tsmo_search_restarts_total", "trigger", "no_candidate", float64(t.Search.RestartsNoCand.Load()))
-	add("tsmo_search_restarts_total", "trigger", "stagnation", float64(t.Search.RestartsStagn.Load()))
-	addc("tsmo_search_nondom_consumed_total", &t.Search.NondomConsumed)
-	addc("tsmo_search_tabu_rejected_total", &t.Search.TabuRejected)
-	addc("tsmo_search_aspiration_fires_total", &t.Search.AspirationFires)
-
-	for i := range t.Async.Fires {
-		add("tsmo_async_decision_total", "reason", DecisionReason(i).String(), float64(t.Async.Fires[i].Load()))
-	}
-	addc("tsmo_async_late_candidates_total", &t.Async.LateCandidates)
-
-	addc("tsmo_worker_chunks_total", &t.Worker.Chunks)
-	addc("tsmo_worker_candidates_total", &t.Worker.Candidates)
-	add("tsmo_worker_idle_seconds_total", "", "", t.Worker.IdleSeconds.Load())
-	add("tsmo_worker_busy_seconds_total", "", "", t.Worker.BusySeconds.Load())
-
-	addc("tsmo_share_sent_total", &t.Share.Sent)
-	add("tsmo_share_received_total", "outcome", "accepted", float64(t.Share.Accepted.Load()))
-	add("tsmo_share_received_total", "outcome", "rejected", float64(t.Share.Rejected.Load()))
-
-	for _, m := range []struct {
-		label string
-		a     *ArchiveStats
-	}{{"archive", &t.Archive}, {"nondom", &t.Nondom}} {
-		add("tsmo_store_accepts_total", "memory", m.label, float64(m.a.Accepts.Load()))
-		add("tsmo_store_rejects_total", "memory", m.label, float64(m.a.Rejects.Load()))
-		add("tsmo_store_evictions_total", "memory", m.label, float64(m.a.Evictions.Load()))
-	}
-
-	add("tsmo_delta_evals_total", "path", "fast", float64(t.Delta.DeltaFast.Load()))
-	add("tsmo_delta_evals_total", "path", "apply_fallback", float64(t.Delta.ApplyFallback.Load()))
-
-	addc("tsmo_splice_calls_total", &t.Splice.Calls)
-	add("tsmo_splice_exits_total", "kind", "prefix_fold", float64(t.Splice.PrefixFolds.Load()))
-	add("tsmo_splice_exits_total", "kind", "suffix_early_exit", float64(t.Splice.SuffixEarlyExits.Load()))
-	add("tsmo_splice_exits_total", "kind", "suffix_resync", float64(t.Splice.SuffixResyncs.Load()))
-	add("tsmo_splice_exits_total", "kind", "full_walk", float64(t.Splice.FullWalks.Load()))
-
-	for _, f := range []struct {
-		kind string
-		c    *Counter
-	}{
-		{"msg_dropped", &t.Fault.MsgsDropped},
-		{"msg_duplicated", &t.Fault.MsgsDuplicated},
-		{"msg_delayed", &t.Fault.MsgsDelayed},
-		{"crash", &t.Fault.Crashes},
-		{"stall", &t.Fault.Stalls},
-	} {
-		add("tsmo_faults_injected_total", "kind", f.kind, float64(f.c.Load()))
-	}
-	for _, f := range []struct {
-		kind string
-		c    *Counter
-	}{
-		{"recv_timeout", &t.Fault.RecvTimeouts},
-		{"redispatch", &t.Fault.Redispatches},
-		{"stale_result", &t.Fault.StaleResults},
-		{"worker_eviction", &t.Fault.WorkerEvictions},
-		{"worker_revival", &t.Fault.WorkerRevivals},
-		{"peer_drop", &t.Fault.PeerDrops},
-		{"degraded_iteration", &t.Fault.DegradedIters},
-		{"malformed_msg", &t.Fault.MalformedMsgs},
-	} {
-		add("tsmo_fault_recovery_total", "kind", f.kind, float64(f.c.Load()))
-	}
-
-	addc("tsmo_checkpoint_snapshots_total", &t.Ckpt.Snapshots)
-	addc("tsmo_checkpoint_sink_errors_total", &t.Ckpt.SinkErrors)
-	addc("tsmo_checkpoint_skipped_total", &t.Ckpt.Skipped)
-	addc("tsmo_checkpoint_resumes_total", &t.Ckpt.Resumes)
-	add("tsmo_checkpoint_barrier_seconds_total", "", "", t.Ckpt.BarrierSecs.Load())
-
-	add("tsmo_dynamic_mutations_total", "outcome", "applied", float64(t.Dynamic.Applied.Load()))
-	add("tsmo_dynamic_mutations_total", "outcome", "rejected", float64(t.Dynamic.Rejected.Load()))
-	addc("tsmo_dynamic_orphans_total", &t.Dynamic.Orphans)
-	addc("tsmo_dynamic_invalidated_total", &t.Dynamic.Invalidated)
-	addc("tsmo_dynamic_pending_dropped_total", &t.Dynamic.PendingDropped)
-	addc("tsmo_dynamic_warm_restarts_total", &t.Dynamic.WarmRestarts)
-	add("tsmo_dynamic_splice_seconds_total", "", "", t.Dynamic.SpliceSeconds.Load())
-
-	type opRow struct {
-		name  string
-		stats *OpStats
-	}
-	var ops []opRow
-	t.Ops.m.Range(func(k, v any) bool {
-		ops = append(ops, opRow{name: k.(string), stats: v.(*OpStats)})
-		return true
-	})
-	sort.Slice(ops, func(i, j int) bool { return ops[i].name < ops[j].name })
-	for _, o := range ops {
-		add("tsmo_operator_proposed_total", "op", o.name, float64(o.stats.Proposed.Load()))
-		add("tsmo_operator_selected_total", "op", o.name, float64(o.stats.Selected.Load()))
-		add("tsmo_operator_accepted_total", "op", o.name, float64(o.stats.Accepted.Load()))
-		add("tsmo_operator_exhausted_total", "op", o.name, float64(o.stats.Exhausted.Load()))
-		add("tsmo_operator_fallbacks_total", "op", o.name, float64(o.stats.Fallbacks.Load()))
-	}
-	return out
-}
-
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
@@ -189,11 +73,11 @@ func WritePromSamples(w io.Writer, samples []Sample) error {
 			}
 			last = s.Name
 		}
-		line := s.Name
+		var labels [][2]string
 		if s.LabelKey != "" {
-			line += "{" + s.LabelKey + `="` + escapeLabel(s.LabelValue) + `"}`
+			labels = [][2]string{{s.LabelKey, s.LabelValue}}
 		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", line, formatFloat(s.V)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", s.Name, renderLabels(labels), formatFloat(s.V)); err != nil {
 			return err
 		}
 	}
@@ -207,26 +91,7 @@ func writePromHeader(w io.Writer, name, help, typ string) error {
 
 // WritePromGauge renders a single gauge sample with its own family header.
 func WritePromGauge(w io.Writer, name, help string, labels [][2]string, v float64) error {
-	if err := writePromHeader(w, name, help, "gauge"); err != nil {
-		return err
-	}
-	var lb strings.Builder
-	for i, kv := range labels {
-		if i == 0 {
-			lb.WriteByte('{')
-		} else {
-			lb.WriteByte(',')
-		}
-		lb.WriteString(kv[0])
-		lb.WriteString(`="`)
-		lb.WriteString(escapeLabel(kv[1]))
-		lb.WriteByte('"')
-	}
-	if lb.Len() > 0 {
-		lb.WriteByte('}')
-	}
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, lb.String(), formatFloat(v))
-	return err
+	return WritePromGaugeVec(w, name, help, []GaugeRow{{Labels: labels, V: v}})
 }
 
 // GaugeRow is one series of a multi-series gauge family: a full label
@@ -279,65 +144,56 @@ type HistogramRow struct {
 }
 
 // WritePromHistogramVec renders a histogram family with one header and a
-// full bucket/sum/count group per row. Rows must be pre-sorted by label
-// set; within each row buckets render in increasing le order, so linters
+// full bucket/sum/count group per row: cumulative _bucket lines in
+// increasing le order, the mandatory le="+Inf" bucket equal to _count,
+// then _sum and _count. Rows must be pre-sorted by label set, so linters
 // that group buckets by their non-le labels see each series monotone.
+// scale converts the histogram's integer unit into the exposition unit
+// (1e-9 for nanosecond histograms exposed in seconds). The power-of-two
+// upper bounds are exclusive, which a le (<=) bound over-covers by one
+// integer unit — irrelevant at nanosecond resolution and still monotone.
 func WritePromHistogramVec(w io.Writer, name, help string, rows []HistogramRow, scale float64) error {
 	if err := writePromHeader(w, name, help, "histogram"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if err := writeHistogramSeries(w, name, r.Labels, r.Snap, scale); err != nil {
+		var cum int64
+		for _, b := range r.Snap.Buckets {
+			if b.Upper == math.MaxInt64 {
+				continue // folded into +Inf below
+			}
+			cum += b.Count
+			le := strconv.FormatFloat(float64(b.Upper)*scale, 'g', -1, 64)
+			bl := append(append([][2]string(nil), r.Labels...), [2]string{"le", le})
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bl), cum); err != nil {
+				return err
+			}
+		}
+		il := append(append([][2]string(nil), r.Labels...), [2]string{"le", "+Inf"})
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(il), r.Snap.Count); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, renderLabels(r.Labels), formatFloat(float64(r.Snap.Sum)*scale)); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(r.Labels), r.Snap.Count); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeHistogramSeries renders one label-set's cumulative buckets, sum,
-// and count (no family header).
-func writeHistogramSeries(w io.Writer, name string, labels [][2]string, snap HistogramSnapshot, scale float64) error {
-	var cum int64
-	for _, b := range snap.Buckets {
-		if b.Upper == math.MaxInt64 {
-			continue // folded into +Inf below
-		}
-		cum += b.Count
-		le := strconv.FormatFloat(float64(b.Upper)*scale, 'g', -1, 64)
-		bl := append(append([][2]string(nil), labels...), [2]string{"le", le})
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bl), cum); err != nil {
-			return err
-		}
-	}
-	il := append(append([][2]string(nil), labels...), [2]string{"le", "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(il), snap.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, renderLabels(labels), formatFloat(float64(snap.Sum)*scale)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(labels), snap.Count)
-	return err
-}
-
-// WritePromHistogram renders a HistogramSnapshot as a Prometheus
-// histogram family: cumulative _bucket lines in increasing le order, the
-// mandatory le="+Inf" bucket equal to _count, then _sum and _count.
-// scale converts the histogram's integer unit into the exposition unit
-// (1e-9 for nanosecond histograms exposed in seconds). The power-of-two
-// upper bounds are exclusive, which a le (<=) bound over-covers by one
-// integer unit — irrelevant at nanosecond resolution and still monotone.
+// WritePromHistogram renders a HistogramSnapshot as a one-series
+// Prometheus histogram family (see WritePromHistogramVec).
 func WritePromHistogram(w io.Writer, name, help string, snap HistogramSnapshot, scale float64) error {
-	if err := writePromHeader(w, name, help, "histogram"); err != nil {
-		return err
-	}
-	return writeHistogramSeries(w, name, nil, snap, scale)
+	return WritePromHistogramVec(w, name, help, []HistogramRow{{Snap: snap}}, scale)
 }
 
 // WriteProm renders one Telemetry instance's full exposition: every
-// counter sample plus the two async histograms. The solver service does
-// not use this directly (it aggregates Samples across jobs and owns its
-// SLO histograms); this is the standalone telemetry server's /metrics.
+// counter sample plus the histogram families of the instrument table.
+// The solver service does not use this directly (it aggregates Samples
+// across jobs and owns its SLO histograms); this is the standalone
+// telemetry server's /metrics.
 func WriteProm(w io.Writer, t *Telemetry) error {
 	if err := WritePromSamples(w, t.Samples()); err != nil {
 		return err
@@ -345,10 +201,12 @@ func WriteProm(w io.Writer, t *Telemetry) error {
 	if t == nil {
 		return nil
 	}
-	if err := WritePromHistogram(w, "tsmo_async_partial_size", "Candidate-set size per async master step.",
-		t.Async.PartialSizes.Snapshot(), 1); err != nil {
-		return err
+	for _, f := range t.families() {
+		if h, ok := f.series[0].inst.(*Histogram); ok && f.name != "" {
+			if err := WritePromHistogram(w, f.name, f.help, h.Snapshot(), f.scale); err != nil {
+				return err
+			}
+		}
 	}
-	return WritePromHistogram(w, "tsmo_async_wait_seconds", "Per-iteration async master wait.",
-		t.Async.WaitSeconds.Snapshot(), 1e-9)
+	return nil
 }

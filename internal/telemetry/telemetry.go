@@ -1,16 +1,20 @@
 // Package telemetry is the search's near-zero-overhead observability
 // layer: atomic counters, float accumulators and lock-free exponential
 // histograms grouped per subsystem (searcher, async decision function,
-// workers, share traffic, archives, delta evaluation), plus a structured
-// slog event stream and a JSONL run-report writer.
+// workers, share traffic, archives, delta evaluation, faults,
+// checkpoints, dynamic mutations), named once in the instrument table
+// (instruments.go), plus typed search events (events.go) delivered to a
+// slog stream, a JSONL run-report writer and an in-process hook.
 //
 // The disabled path costs nothing measurable: a nil *Telemetry disables
 // every instrument, and each recording method nil-checks its group
 // receiver, so an uninstrumented run pays exactly one predictable branch
-// per call site and zero allocations (enforced by the zero-alloc tests and
-// the <2% gate in scripts/bench.sh → BENCH_telemetry.json). Instruments
-// are safe for concurrent use by all processes of a run; event emission
-// (Event, Snapshot) happens off the hot path only.
+// per call site and zero allocations (enforced by the zero-alloc tests).
+// The enabled overhead is not yet demonstrated: BENCH_telemetry.json
+// records 6.05% from one unpaired run, and the paired harness that
+// should settle it is an open ROADMAP item. Instruments are safe for
+// concurrent use by all processes of a run; events are built only when a
+// sink is attached (Sinks) and off the per-candidate hot path.
 package telemetry
 
 import (
@@ -341,24 +345,6 @@ func (t *PeerShareTable) Get(peer string) *PeerShareStats {
 	}
 	v, _ := t.m.LoadOrStore(peer, &PeerShareStats{})
 	return v.(*PeerShareStats)
-}
-
-// Snapshot returns the per-peer counters.
-func (t *PeerShareTable) Snapshot() map[string]map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]map[string]int64)
-	t.m.Range(func(k, v any) bool {
-		p := v.(*PeerShareStats)
-		out[k.(string)] = map[string]int64{
-			"batches":   p.Batches.Load(),
-			"solutions": p.Solutions.Load(),
-			"malformed": p.Malformed.Load(),
-		}
-		return true
-	})
-	return out
 }
 
 // ArchiveStats instruments one class of bounded non-dominated store
@@ -792,36 +778,10 @@ func (t *OpTable) Get(name string) *OpStats {
 	return v.(*OpStats)
 }
 
-// Snapshot returns the per-operator funnel with derived rates.
-func (t *OpTable) Snapshot() map[string]map[string]any {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]map[string]any)
-	t.m.Range(func(k, v any) bool {
-		o := v.(*OpStats)
-		p, s, a := o.Proposed.Load(), o.Selected.Load(), o.Accepted.Load()
-		e := map[string]any{
-			"proposed":           p,
-			"selected":           s,
-			"accepted":           a,
-			"exhausted":          o.Exhausted.Load(),
-			"granular_fallbacks": o.Fallbacks.Load(),
-		}
-		if p > 0 {
-			e["select_rate"] = float64(s) / float64(p)
-			e["accept_rate"] = float64(a) / float64(p)
-		}
-		out[k.(string)] = e
-		return true
-	})
-	return out
-}
-
 // Telemetry aggregates every instrument group of one run plus the optional
-// event sinks (a slog logger and a JSONL writer). A nil *Telemetry is the
-// disabled layer: every group accessor returns nil and every event is
-// dropped, at the cost of one branch per call site.
+// event sinks (a slog logger, a JSONL writer and a hook). A nil *Telemetry
+// is the disabled layer: every group accessor returns nil and every event
+// is dropped, at the cost of one branch per call site.
 type Telemetry struct {
 	Search  SearchStats
 	Async   AsyncStats
@@ -840,15 +800,8 @@ type Telemetry struct {
 
 	log    *slog.Logger
 	writer *Writer
-	hook   EventHook
+	hook   func(Event)
 }
-
-// EventHook receives every emitted event in-process. Hooks run on the
-// emitting goroutine and must be safe for concurrent use; the fields map
-// is owned by the hook after the call (emitters build a fresh map per
-// event). The solver service uses a hook to stream archive updates to
-// HTTP subscribers as they happen.
-type EventHook func(name string, fields map[string]any)
 
 // New returns an enabled telemetry layer. logger and w may each be nil:
 // events then skip that sink; the instruments record regardless.
@@ -856,26 +809,8 @@ func New(logger *slog.Logger, w *Writer) *Telemetry {
 	return &Telemetry{log: logger, writer: w}
 }
 
-// SetHook installs h as the in-process event sink. It must be called
-// before the instrumented run starts and is not safe to call concurrently
-// with event emission.
-func (t *Telemetry) SetHook(h EventHook) {
-	if t == nil {
-		return
-	}
-	t.hook = h
-}
-
 // Enabled reports whether the layer records anything.
 func (t *Telemetry) Enabled() bool { return t != nil }
-
-// Sinks reports whether any event sink (logger, JSONL writer, or hook) is
-// attached. Emitters that would fire per-iteration build their field maps
-// only when this is true, keeping an instruments-only layer allocation-free
-// on the hot path.
-func (t *Telemetry) Sinks() bool {
-	return t != nil && (t.log != nil || t.writer != nil || t.hook != nil)
-}
 
 // Logger returns the event logger, or a discarding logger when disabled,
 // so callers can log unconditionally off the hot path.
@@ -993,100 +928,4 @@ func (t *Telemetry) Operators() *OpTable {
 		return nil
 	}
 	return &t.Ops
-}
-
-// Snapshot returns every instrument's current value in a JSON-ready tree —
-// the payload of the run report's "summary" event, the expvar export and
-// the /telemetry endpoint.
-func (t *Telemetry) Snapshot() map[string]any {
-	if t == nil {
-		return nil
-	}
-	fires := make(map[string]int64, len(decisionNames))
-	for i := range t.Async.Fires {
-		fires[DecisionReason(i).String()] = t.Async.Fires[i].Load()
-	}
-	return map[string]any{
-		"search": map[string]int64{
-			"iterations":          t.Search.Iterations.Load(),
-			"evaluations":         t.Search.Evaluations.Load(),
-			"restarts_no_cand":    t.Search.RestartsNoCand.Load(),
-			"restarts_stagnation": t.Search.RestartsStagn.Load(),
-			"nondom_consumed":     t.Search.NondomConsumed.Load(),
-			"tabu_rejected":       t.Search.TabuRejected.Load(),
-			"aspiration_fires":    t.Search.AspirationFires.Load(),
-		},
-		"async": map[string]any{
-			"decision_fires":  fires,
-			"partial_sizes":   t.Async.PartialSizes.Snapshot(),
-			"late_candidates": t.Async.LateCandidates.Load(),
-			"wait_ns":         t.Async.WaitSeconds.Snapshot(),
-		},
-		"worker": map[string]any{
-			"chunks":       t.Worker.Chunks.Load(),
-			"candidates":   t.Worker.Candidates.Load(),
-			"idle_seconds": t.Worker.IdleSeconds.Load(),
-			"busy_seconds": t.Worker.BusySeconds.Load(),
-		},
-		"share": map[string]int64{
-			"sent":     t.Share.Sent.Load(),
-			"accepted": t.Share.Accepted.Load(),
-			"rejected": t.Share.Rejected.Load(),
-		},
-		"peer_shares": t.Peers.Snapshot(),
-		"archive": map[string]int64{
-			"accepts":   t.Archive.Accepts.Load(),
-			"rejects":   t.Archive.Rejects.Load(),
-			"evictions": t.Archive.Evictions.Load(),
-		},
-		"nondom": map[string]int64{
-			"accepts":   t.Nondom.Accepts.Load(),
-			"rejects":   t.Nondom.Rejects.Load(),
-			"evictions": t.Nondom.Evictions.Load(),
-		},
-		"delta": map[string]int64{
-			"fast":           t.Delta.DeltaFast.Load(),
-			"apply_fallback": t.Delta.ApplyFallback.Load(),
-		},
-		"splice": map[string]int64{
-			"calls":              t.Splice.Calls.Load(),
-			"prefix_folds":       t.Splice.PrefixFolds.Load(),
-			"suffix_early_exits": t.Splice.SuffixEarlyExits.Load(),
-			"suffix_resyncs":     t.Splice.SuffixResyncs.Load(),
-			"full_walks":         t.Splice.FullWalks.Load(),
-		},
-		"faults": map[string]int64{
-			"msgs_dropped":     t.Fault.MsgsDropped.Load(),
-			"msgs_duplicated":  t.Fault.MsgsDuplicated.Load(),
-			"msgs_delayed":     t.Fault.MsgsDelayed.Load(),
-			"crashes":          t.Fault.Crashes.Load(),
-			"stalls":           t.Fault.Stalls.Load(),
-			"recv_timeouts":    t.Fault.RecvTimeouts.Load(),
-			"redispatches":     t.Fault.Redispatches.Load(),
-			"stale_results":    t.Fault.StaleResults.Load(),
-			"worker_evictions": t.Fault.WorkerEvictions.Load(),
-			"worker_revivals":  t.Fault.WorkerRevivals.Load(),
-			"peer_drops":       t.Fault.PeerDrops.Load(),
-			"degraded_iters":   t.Fault.DegradedIters.Load(),
-			"malformed_msgs":   t.Fault.MalformedMsgs.Load(),
-		},
-		"checkpoint": map[string]any{
-			"snapshots":       t.Ckpt.Snapshots.Load(),
-			"sink_errors":     t.Ckpt.SinkErrors.Load(),
-			"skipped":         t.Ckpt.Skipped.Load(),
-			"resumes":         t.Ckpt.Resumes.Load(),
-			"barrier_seconds": t.Ckpt.BarrierSecs.Load(),
-		},
-		"dynamic": map[string]any{
-			"applied":         t.Dynamic.Applied.Load(),
-			"rejected":        t.Dynamic.Rejected.Load(),
-			"orphans":         t.Dynamic.Orphans.Load(),
-			"invalidated":     t.Dynamic.Invalidated.Load(),
-			"pending_dropped": t.Dynamic.PendingDropped.Load(),
-			"warm_restarts":   t.Dynamic.WarmRestarts.Load(),
-			"splice_seconds":  t.Dynamic.SpliceSeconds.Load(),
-			"splice_ns":       t.Dynamic.SpliceNanos.Snapshot(),
-		},
-		"operators": t.Ops.Snapshot(),
-	}
 }

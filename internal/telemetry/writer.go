@@ -1,10 +1,10 @@
 package telemetry
 
 // The JSONL run report: one JSON object per line, each with a wall-clock
-// "ts" and an "event" tag. Hot search loops never emit events — only
-// iteration-scale occurrences (restarts, shares, periodic front-quality
-// snapshots) and run boundaries do — so the writer favors simplicity over
-// throughput: a mutex around a buffered encoder.
+// "ts" and an "event" tag (see Emit). Hot search loops never emit events —
+// only iteration-scale occurrences (archive accepts, restarts, decisions,
+// periodic front-quality snapshots) and run boundaries do — so the writer
+// favors simplicity over throughput: a mutex around a buffered encoder.
 
 import (
 	"bufio"
@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"os"
 	"sync"
-	"time"
 )
 
 // Writer appends JSONL records to an underlying stream.
@@ -46,9 +45,9 @@ func OpenWriter(path string) (*Writer, error) {
 	return NewWriter(f), nil
 }
 
-// Emit appends one record. The first write error sticks and suppresses
-// further writes; Close reports it.
-func (w *Writer) Emit(record map[string]any) {
+// Emit appends one record, any JSON-encodable value. The first write
+// error sticks and suppresses further writes; Close reports it.
+func (w *Writer) Emit(record any) {
 	if w == nil {
 		return
 	}
@@ -77,56 +76,6 @@ func (w *Writer) Close() error {
 		}
 	}
 	return w.err
-}
-
-// Event records one structured occurrence on every sink: as a JSONL line
-// ({"ts": ..., "event": name, ...fields}), as a Debug message on the slog
-// stream, and on the in-process hook when one is installed. A nil
-// receiver drops it. fields may be nil.
-func (t *Telemetry) Event(name string, fields map[string]any) {
-	if t == nil {
-		return
-	}
-	if t.log != nil {
-		attrs := make([]any, 0, 2*len(fields))
-		for k, v := range fields {
-			attrs = append(attrs, slog.Any(k, v))
-		}
-		t.log.Debug(name, attrs...)
-	}
-	if t.writer != nil {
-		rec := make(map[string]any, len(fields)+2)
-		for k, v := range fields {
-			rec[k] = v
-		}
-		rec["ts"] = time.Now().UTC().Format(time.RFC3339Nano)
-		rec["event"] = name
-		t.writer.Emit(rec)
-	}
-	// The hook runs last: it owns the fields map after the call (it may
-	// retain it or hand it to another goroutine), so the logger and writer
-	// must finish iterating it first.
-	if t.hook != nil {
-		t.hook(name, fields)
-	}
-}
-
-// Summary emits the final "summary" event: the caller's run-level fields
-// plus the full instrument snapshot under "counters". It is the line the
-// overhead and report tooling greps for.
-func (t *Telemetry) Summary(fields map[string]any) {
-	if t == nil {
-		return
-	}
-	rec := make(map[string]any, len(fields)+1)
-	for k, v := range fields {
-		rec[k] = v
-	}
-	rec["counters"] = t.Snapshot()
-	t.Event("summary", rec)
-	if t.log != nil {
-		t.log.Info("run summary written")
-	}
 }
 
 // Close flushes the JSONL sink, if any.
