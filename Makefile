@@ -139,9 +139,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFeasibilityGuard -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 
-# bench refreshes BENCH_delta.json, BENCH_telemetry.json and
-# BENCH_service.json via scripts/bench.sh (prior numbers are archived to
-# BENCH_history.jsonl).
+# bench refreshes BENCH_delta.json, BENCH_telemetry.json,
+# BENCH_trace.json, BENCH_checkpoint.json, BENCH_granular.json,
+# BENCH_dynamic.json and BENCH_service.json via scripts/bench.sh (prior
+# numbers are archived to BENCH_history.jsonl).
 bench:
 	./scripts/bench.sh
 

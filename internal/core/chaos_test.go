@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -224,9 +225,25 @@ func TestChaosScenarios(t *testing.T) {
 // TestSyncTrajectoryMatchesSequential is the §III.C property: fault-free,
 // the synchronous parallelization is the sequential algorithm — same
 // evaluations, same iteration count, identical trajectory and front across
-// seeds and processor counts, independent of the simulated machine.
+// seeds and processor counts, independent of the simulated machine, and
+// equally on the goroutine backend, where the workers evaluate their spans
+// truly in parallel (the repo's one real-parallel evaluation path).
 func TestSyncTrajectoryMatchesSequential(t *testing.T) {
 	in := testInstance(t, 30)
+	sameTrajectory := func(t *testing.T, label string, seq, syn *Result) {
+		t.Helper()
+		sameSearch(t, label, seq, syn)
+		if len(seq.Trajectory.Points) != len(syn.Trajectory.Points) {
+			t.Fatalf("%s: trajectory lengths %d vs %d", label,
+				len(seq.Trajectory.Points), len(syn.Trajectory.Points))
+		}
+		for i := range seq.Trajectory.Points {
+			if seq.Trajectory.Points[i] != syn.Trajectory.Points[i] {
+				t.Fatalf("%s: trajectory diverges at point %d: %+v vs %+v",
+					label, i, seq.Trajectory.Points[i], syn.Trajectory.Points[i])
+			}
+		}
+	}
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := smallConfig()
 		cfg.MaxEvaluations = 1500
@@ -243,18 +260,7 @@ func TestSyncTrajectoryMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := "seed/procs"
-			sameSearch(t, label, seq, syn)
-			if len(seq.Trajectory.Points) != len(syn.Trajectory.Points) {
-				t.Fatalf("seed %d P=%d: trajectory lengths %d vs %d", seed, procs,
-					len(seq.Trajectory.Points), len(syn.Trajectory.Points))
-			}
-			for i := range seq.Trajectory.Points {
-				if seq.Trajectory.Points[i] != syn.Trajectory.Points[i] {
-					t.Fatalf("seed %d P=%d: trajectory diverges at point %d: %+v vs %+v",
-						seed, procs, i, seq.Trajectory.Points[i], syn.Trajectory.Points[i])
-				}
-			}
+			sameTrajectory(t, fmt.Sprintf("seed %d P=%d", seed, procs), seq, syn)
 		}
 	}
 
@@ -272,6 +278,30 @@ func TestSyncTrajectoryMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSearch(t, "noisy machine", seq, syn)
+
+	// Real concurrency: workers on goroutines evaluate their shipped spans
+	// in parallel with the master, full and granular neighborhoods alike.
+	for _, k := range []int{0, 10} {
+		cfg := smallConfig()
+		cfg.MaxEvaluations = 1500
+		cfg.GranularK = k
+		cfg.RecordTrajectory = true
+		seq, err := Run(Sequential, in, cfg, deme.NewSim(deme.Ideal()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{2, 4} {
+			t.Run(fmt.Sprintf("goroutine/granular=%d/P=%d", k, procs), func(t *testing.T) {
+				c := cfg
+				c.Processors = procs
+				syn, err := Run(Synchronous, in, c, deme.NewGoroutine())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTrajectory(t, "goroutine", seq, syn)
+			})
+		}
+	}
 }
 
 // TestChaosGoroutineNoDeadlock exercises the self-healing paths under real

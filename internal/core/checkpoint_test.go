@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/deme"
@@ -80,6 +83,60 @@ func sameResult(t *testing.T, want, got *Result) {
 			t.Errorf("sample[%d]: got %+v, want %+v", i, got.Samples[i], want.Samples[i])
 		}
 	}
+}
+
+// TestResumeLegacyEvalWorkersCheckpoint pins compatibility with durable
+// state written before the sharded evaluator was removed: the testdata
+// checkpoint was encoded by that code (synchronous, P=4, granular k=10,
+// "eval_workers": 4 in its payload, barrier 4 of the run below). The
+// field was never part of the config digest, so the checkpoint must still
+// decode and resume bit-identically to today's uninterrupted run.
+func TestResumeLegacyEvalWorkersCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/ckpt_eval_workers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"eval_workers":4`)) {
+		t.Fatal("fixture lost its eval_workers field")
+	}
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatalf("decoding legacy checkpoint: %v", err)
+	}
+	in := testInstance(t, 25)
+	cfg := smallConfig()
+	cfg.MaxEvaluations = 2000
+	cfg.NeighborhoodSize = 40
+	cfg.Seed = 7
+	cfg.SampleEvery = 500
+	cfg.CheckpointEvery = 8
+	cfg.GranularK = 10
+	cfg.Processors = 4
+	ref, cks := runWithCheckpoints(t, Synchronous, in, cfg)
+	// Apart from the dropped field, the legacy payload is exactly the
+	// checkpoint today's code takes at the same barrier.
+	if len(cks) < ck.Barrier {
+		t.Fatalf("reference run took %d checkpoints, fixture is at barrier %d", len(cks), ck.Barrier)
+	}
+	now, err := EncodeCheckpoint(cks[ck.Barrier-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacyEnv, nowEnv checkpointEnvelope
+	if err := json.Unmarshal(data, &legacyEnv); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(now, &nowEnv); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.Replace(legacyEnv.Payload, []byte(`"eval_workers":4,`), nil, 1), nowEnv.Payload) {
+		t.Error("legacy payload differs from today's checkpoint at the same barrier beyond eval_workers")
+	}
+	res, err := ResumeContext(t.Context(), ck, in, cfg, deme.NewSim(deme.Origin3800()))
+	if err != nil {
+		t.Fatalf("resuming legacy checkpoint: %v", err)
+	}
+	sameResult(t, ref, res)
 }
 
 // TestResumeBitIdentical is the checkpointing golden test: for every

@@ -184,23 +184,8 @@ func RunContext(ctx context.Context, alg Algorithm, in *vrptw.Instance, cfg Conf
 		if parts == nil {
 			return nil, fmt.Errorf("core: mutation barrier %d left incomplete parts", hb)
 		}
-		ck := &Checkpoint{
-			Barrier:        hb,
-			Algorithm:      alg.String(),
-			Processors:     cfg.Processors,
-			Seed:           cfg.Seed,
-			Every:          cfg.CheckpointEvery,
-			InstanceDigest: cfg.instDigest,
-			ConfigDigest:   cfg.cfgDigest,
-			GranularK:      cfg.GranularK,
-			EvalWorkers:    cfg.EvalWorkers,
-			WaitTimeout:    cfg.WaitTimeout,
-			RecvTimeout:    cfg.RecvTimeout,
-			EvictAfter:     cfg.EvictAfter,
-			Parts:          parts,
-		}
 		msp := tr.Start(runSpan, "mutation").SetInt("barrier", int64(hb))
-		newIn, newCk, err := cfg.Dynamic.Apply(trace.NewContext(ctx, tr, msp), in, ck)
+		newIn, newCk, err := cfg.Dynamic.Apply(trace.NewContext(ctx, tr, msp), in, cfg.checkpointAt(hb, parts))
 		msp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: applying mutations at barrier %d: %w", hb, err)

@@ -145,25 +145,46 @@ func (s *searcher) failOutcome(err error) procOutcome {
 	return o
 }
 
-// evalDataSpan delta-evaluates an already-proposed flat move span of the
-// current solution into objs (len(objs) == len(data)), charging the
-// modeled evaluation cost. The synchronous master uses it for its own
-// chunk and to re-evaluate chunks lost to dead workers; the result is
-// bit-identical to what the worker would have returned.
-func (s *searcher) evalDataSpan(p deme.Proc, data []operators.MoveData, objs []solution.Objectives) {
-	if len(data) == 0 {
-		return
-	}
-	sp := s.tr.Start(s.phase, "eval_shard").
+// evalShard delta-evaluates the move span data, proposed on cur, into
+// objs (len(objs) == len(data)) on gen's schedule cache and charges p the
+// modeled evaluation cost, all under one "eval_shard" span. It is the
+// evaluation step of the master–worker variants: a synchronous worker
+// evaluating its shipped span, the synchronous master evaluating its own
+// span or recovering a lost one (bit-identical to the worker's reply), and
+// an asynchronous worker evaluating the moves it proposed.
+func evalShard(p deme.Proc, in *vrptw.Instance, cfg *Config, gen *operators.Generator,
+	cur *solution.Solution, data []operators.MoveData, objs []solution.Objectives) {
+	sp := cfg.tracer.Start(cfg.span, "eval_shard").
 		SetInt("proc", int64(p.ID())).
 		SetInt("moves", int64(len(data)))
-	s.gen.EvalDataInto(s.cur, data, objs)
+	gen.EvalDataInto(cur, data, objs)
+	chargeEval(p, in, cfg, objs)
+	sp.End()
+}
+
+// chargeEval charges p the modeled cost of the candidates evaluated into
+// objs. The sum runs in index order, so every way of evaluating a span
+// advances the Sim's virtual clocks by the same bits.
+func chargeEval(p deme.Proc, in *vrptw.Instance, cfg *Config, objs []solution.Objectives) {
 	var cost float64
 	for i := range objs {
-		cost += s.cfg.Cost.evalCost(s.in, int(objs[i].Vehicles))
+		cost += cfg.Cost.evalCost(in, int(objs[i].Vehicles))
 	}
 	p.Compute(cost)
-	sp.End()
+}
+
+// candsInto wraps the evaluated span (data, objs), proposed on base in
+// iteration born, into candidates in dst's storage (grown when short) and
+// returns them.
+func candsInto(dst []cand, base *solution.Solution, born int, data []operators.MoveData, objs []solution.Objectives) []cand {
+	if cap(dst) < len(data) {
+		dst = make([]cand, len(data))
+	}
+	dst = dst[:len(data)]
+	for i, d := range data {
+		dst[i] = cand{data: d, base: base, obj: objs[i], attr: d.Attribute(), born: born}
+	}
+	return dst
 }
 
 // maybeSample records a convergence sample when due.
@@ -251,7 +272,6 @@ func newSearcher(in *vrptw.Instance, cfg *Config, r *rng.Rand, neighborhood, ten
 	if cfg.GranularK > 0 {
 		s.gen.Granular = in.NeighborLists(cfg.GranularK)
 	}
-	s.gen.EvalWorkers = cfg.EvalWorkers
 	s.archive.SetStats(cfg.Telemetry.ArchiveGroup())
 	s.nondom.SetStats(cfg.Telemetry.NondomGroup())
 	return s
@@ -290,35 +310,12 @@ func (s *searcher) init(p deme.Proc) {
 // until the next generate call.
 func (s *searcher) generate(p deme.Proc, n int) []cand {
 	s.gen.CandidatesInto(&s.buf, s.cur, s.r, n)
-	k := len(s.buf.Data)
-	if cap(s.cands) < k {
-		s.cands = make([]cand, k)
-	}
-	cands := s.cands[:k]
-	var cost float64
-	for i := range cands {
-		d := s.buf.Data[i]
-		obj := s.buf.Objs[i]
-		cands[i] = cand{
-			data: d,
-			base: s.cur,
-			obj:  obj,
-			attr: d.Attribute(),
-			born: s.iter,
-		}
-		cost += s.cfg.Cost.evalCost(s.in, int(obj.Vehicles))
-	}
-	// Keep the disabled path free of the per-candidate funnel calls by
-	// hoisting the telemetry check out of the loop.
-	if s.tel.Enabled() {
-		for i := range cands {
-			s.gen.KindStats(cands[i].data.Kind).Propose()
-		}
-	}
-	p.Compute(cost)
+	s.cands = candsInto(s.cands, s.cur, s.iter, s.buf.Data, s.buf.Objs)
+	chargeEval(p, s.in, s.cfg, s.buf.Objs)
+	k := len(s.cands)
 	s.evals += k
 	s.ts.Evals(k)
-	return cands
+	return s.cands
 }
 
 // step performs the selection and memory-update part of one Algorithm 1

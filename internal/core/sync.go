@@ -71,11 +71,6 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		s.gen.MovesInto(&s.buf, s.cur, s.r, s.neighborhood)
 		data := s.buf.Data
 		n := len(data)
-		if s.tel.Enabled() {
-			for i := range data {
-				s.gen.KindStats(data[i].Kind).Propose()
-			}
-		}
 		if cap(objs) < n {
 			objs = make([]solution.Objectives, n)
 		}
@@ -98,7 +93,9 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				lo = hi
 			}
 		}
-		s.evalDataSpan(p, data[lo:], objs[lo:])
+		if lo < n { // an empty sweep evaluates and charges nothing
+			evalShard(p, in, cfg, s.gen, s.cur, data[lo:], objs[lo:])
+		}
 
 		for len(outstanding) > 0 {
 			m, ok := p.RecvTimeout(cfg.RecvTimeout)
@@ -109,7 +106,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				for _, sp := range outstanding {
 					strikes[sp.w]++
 					fg.Redispatch()
-					s.evalDataSpan(p, data[sp.lo:sp.hi], objs[sp.lo:sp.hi])
+					evalShard(p, in, cfg, s.gen, s.cur, data[sp.lo:sp.hi], objs[sp.lo:sp.hi])
 					if strikes[sp.w] >= cfg.EvictAfter || !p.Alive(sp.w) {
 						evict(sp.w)
 					}
@@ -158,21 +155,8 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			// failed attempt so the budget still runs out (as sequential).
 			s.evals++
 		}
-		if cap(s.cands) < n {
-			s.cands = make([]cand, n)
-		}
-		cands := s.cands[:n]
-		for i := range data {
-			d := data[i]
-			cands[i] = cand{
-				data: d,
-				base: s.cur,
-				obj:  objs[i],
-				attr: d.Attribute(),
-				born: s.iter,
-			}
-		}
-		s.step(p, cands)
+		s.cands = candsInto(s.cands, s.cur, s.iter, data, objs)
+		s.step(p, s.cands)
 		if cfg.shareDue(s.iter) && s.shareOn && !s.done(p) {
 			// Workers are idle between iterations, so the blocking gather
 			// fits here exactly like the checkpoint barrier below.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/deme"
 	"repro/internal/operators"
 	"repro/internal/rng"
@@ -90,49 +92,23 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 			// Synchronous span: evaluate exactly the shipped moves. The
 			// reply's objectives slice is freshly allocated — it crosses
 			// the goroutine boundary.
-			sp := cfg.tracer.Start(cfg.span, "eval_shard").
-				SetInt("proc", int64(p.ID())).
-				SetInt("moves", int64(len(w.data)))
 			objs := make([]solution.Objectives, len(w.data))
-			gen.EvalDataInto(w.cur, w.data, objs)
-			var cost float64
-			for i := range objs {
-				cost += cfg.Cost.evalCost(in, int(objs[i].Vehicles))
-			}
-			p.Compute(cost)
+			evalShard(p, in, cfg, gen, w.cur, w.data, objs)
 			p.Send(master, tagResult, resultMsg{objs: objs, lo: w.lo, iter: w.iter}, len(objs)*solBytes(in))
 			ws.Chunk(len(objs), busyStart-idleStart, p.Now()-busyStart)
-			sp.End()
 			continue
 		}
 		if cfg.checkpointing() {
 			r.Seed(chunkSeed(seed, w.iter))
 		}
-		sp := cfg.tracer.Start(cfg.span, "eval_shard").
-			SetInt("proc", int64(p.ID())).
-			SetInt("moves", int64(w.count))
-		gen.CandidatesInto(&buf, w.cur, r, w.count)
-		cands := make([]cand, len(buf.Data))
-		var cost float64
-		for i := range buf.Data {
-			d := buf.Data[i]
-			cands[i] = cand{
-				data: d,
-				base: w.cur,
-				obj:  buf.Objs[i],
-				attr: d.Attribute(),
-				born: w.iter,
-			}
-			cost += cfg.Cost.evalCost(in, int(buf.Objs[i].Vehicles))
-		}
-		if cfg.Telemetry.Enabled() {
-			for i := range cands {
-				gen.KindStats(cands[i].data.Kind).Propose()
-			}
-		}
-		p.Compute(cost)
+		// Asynchronous chunk: propose and evaluate our own moves. The
+		// candidates are freshly allocated — they cross the goroutine
+		// boundary.
+		gen.MovesInto(&buf, w.cur, r, w.count)
+		buf.Objs = slices.Grow(buf.Objs[:0], len(buf.Data))[:len(buf.Data)]
+		evalShard(p, in, cfg, gen, w.cur, buf.Data, buf.Objs)
+		cands := candsInto(nil, w.cur, w.iter, buf.Data, buf.Objs)
 		p.Send(master, tagResult, resultMsg{cands: cands}, len(cands)*solBytes(in))
 		ws.Chunk(len(cands), busyStart-idleStart, p.Now()-busyStart)
-		sp.End()
 	}
 }

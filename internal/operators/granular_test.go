@@ -227,10 +227,12 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestEvalDataIntoParallelMatchesSerial pins the parallel evaluator's
-// bit-identity at the engine level: identical objective words for every
-// worker count, including counts that do not divide the span evenly.
-func TestEvalDataIntoParallelMatchesSerial(t *testing.T) {
+// TestEvalDataIntoSubSpanMatchesFull pins the property master–worker
+// evaluation rests on: a contiguous sub-span evaluated on a fresh
+// Generator — as a synchronous worker does with its shipped span, or the
+// master when it recovers a lost one — yields the same objective words as
+// the full-span serial evaluation, for every split including uneven ones.
+func TestEvalDataIntoSubSpanMatchesFull(t *testing.T) {
 	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 80, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -239,16 +241,20 @@ func TestEvalDataIntoParallelMatchesSerial(t *testing.T) {
 	g := NewGenerator(in, nil)
 	var buf CandidateBuffer
 	g.MovesInto(&buf, s, rng.New(9), 157)
-	serial := make([]solution.Objectives, len(buf.Data))
-	g.EvalDataInto(s, buf.Data, serial)
-	for _, w := range []int{2, 3, 4, 7, 16} {
-		gw := NewGenerator(in, nil)
-		gw.EvalWorkers = w
-		objs := make([]solution.Objectives, len(buf.Data))
-		gw.EvalDataInto(s, buf.Data, objs)
-		for i := range objs {
-			if objs[i] != serial[i] {
-				t.Fatalf("EvalWorkers=%d: objs[%d] = %+v, serial %+v", w, i, objs[i], serial[i])
+	n := len(buf.Data)
+	full := make([]solution.Objectives, n)
+	g.EvalDataInto(s, buf.Data, full)
+	for _, parts := range []int{2, 3, 4, 7, 16} {
+		per := n / parts
+		for lo := 0; lo < n; lo += per {
+			hi := min(lo+per, n)
+			objs := make([]solution.Objectives, hi-lo)
+			NewGenerator(in, nil).EvalDataInto(s, buf.Data[lo:hi], objs)
+			for i := range objs {
+				if objs[i] != full[lo+i] {
+					t.Fatalf("span [%d,%d) of %d parts: objs[%d] = %+v, full span %+v",
+						lo, hi, parts, lo+i, objs[i], full[lo+i])
+				}
 			}
 		}
 	}

@@ -13,8 +13,6 @@
 package operators
 
 import (
-	"sync"
-
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -41,6 +39,11 @@ func All() []Operator {
 // proposeAttempts bounds the internal retries of a single Propose call.
 const proposeAttempts = 30
 
+// failuresPerNeighbor bounds the failed proposals one MovesInto call may
+// absorb, per requested neighbor, before it returns short — preventing
+// livelock on solutions with very few feasible moves.
+const failuresPerNeighbor = 50
+
 // granFallbackBudget is how many times per sweep each operator may fall
 // back to its dense proposal path after the granular path comes up empty.
 // Raising it admits more dense-path moves per sweep (an unbounded budget
@@ -60,10 +63,6 @@ const granFallbackBudget = 1
 type Generator struct {
 	in  *vrptw.Instance
 	ops []Operator
-	// MaxFailures bounds the total number of failed proposals in one
-	// MovesInto call, preventing livelock on solutions with very few
-	// feasible moves. Defaults to 50 failures per requested neighbor.
-	MaxFailures int
 	// DeltaStats, when non-nil, counts delta-evaluated candidates vs.
 	// full-simulation Apply fallbacks; SpliceStats is handed to the
 	// schedule cache to classify SpliceMetrics exits. Both default to nil
@@ -75,16 +74,10 @@ type Generator struct {
 	// sparse k-nearest graph, falling back to the full proposal path when
 	// the granular draw budget is exhausted.
 	Granular *vrptw.NeighborLists
-	// EvalWorkers, when > 1, shards EvalDataInto's delta evaluation over
-	// that many goroutines with a deterministic positional merge; the
-	// result is bit-identical to the serial path. Proposal stays serial
-	// (it shares the caller's random stream).
-	EvalWorkers int
 
 	lastEval  *solution.Eval
 	gran      []granularProposer // granular paths, aligned with ops (nil entries: full only)
 	granFB    []uint8            // per-sweep fallback count; granular path memoized dead at the budget
-	parEvals  []*solution.Eval   // per-worker schedule caches for EvalWorkers
 	kindNames [NumKinds]string   // Name() of the first operator proposing each kind
 	// Funnel entries resolved by SetOps: per operator (aligned with ops)
 	// and per move kind.
@@ -117,10 +110,10 @@ func NewGenerator(in *vrptw.Instance, ops []Operator) *Generator {
 func (g *Generator) KindName(k MoveKind) string { return g.kindNames[k] }
 
 // SetOps attaches the operator funnel table (nil detaches it), resolving
-// every entry once: MovesInto counts each operator's exhaustions and
-// granular fallbacks under its Name(), and KindStats serves the entry of
-// a proposed move by its kind — an array index on the hot path instead of
-// a name lookup per candidate.
+// every entry once: MovesInto counts each drawn move as proposed under
+// its kind's entry and each operator's exhaustions and granular fallbacks
+// under its Name(), and KindStats serves the entry of a move by its kind
+// — an array index on the hot path instead of a name lookup per move.
 func (g *Generator) SetOps(t *telemetry.OpTable) {
 	for i, op := range g.ops {
 		g.opStats[i] = t.Get(op.Name())
@@ -172,10 +165,7 @@ type CandidateBuffer struct {
 // neighborhood granular (the point of the sparse graph) instead of
 // silently degrading to the dense proposal path.
 func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
-	budget := g.MaxFailures
-	if budget == 0 {
-		budget = 50 * size
-	}
+	budget := failuresPerNeighbor * size
 	buf.Data = buf.Data[:0]
 	granular := g.Granular != nil
 	if granular {
@@ -204,6 +194,7 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 		}
 		if ok {
 			buf.Data = append(buf.Data, d)
+			g.kindStats[d.Kind].Propose()
 		} else {
 			g.opStats[oi].Exhaust()
 			budget--
@@ -226,16 +217,12 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 // EvalDataInto delta-evaluates an already-proposed flat move span against
 // s's schedule cache into objs (len(objs) == len(data)), falling back to
 // Apply per move when the delta declines. Evaluation is deterministic in
-// (s, data) and independent of EvalWorkers: the parallel path shards the
-// span positionally and every objective is written to its own index, so a
-// chunk evaluated anywhere — serially, on another worker count, or
-// re-evaluated after a fault — yields bit-identical objectives.
+// (s, data) and every objective depends only on its own move, so any
+// contiguous sub-span evaluated on its own — by a master–worker worker, or
+// by the master recovering a lost span — yields the same objective words
+// as the whole span.
 func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []solution.Objectives) {
 	if len(data) == 0 {
-		return
-	}
-	if g.EvalWorkers > 1 && len(data) >= 2*g.EvalWorkers {
-		g.evalDataParallel(s, data, objs)
 		return
 	}
 	e := g.eval(s)
@@ -249,56 +236,6 @@ func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []s
 		}
 		objs[i] = obj
 	}
-}
-
-// evalDataParallel is EvalDataInto's sharded path: contiguous chunks of
-// the span, one goroutine and one schedule cache per worker. Only the
-// delta arithmetic runs concurrently; DeltaStats/SpliceStats are atomic
-// and every result lands at its own index.
-func (g *Generator) evalDataParallel(s *solution.Solution, data []MoveData, objs []solution.Objectives) {
-	w := g.EvalWorkers
-	if w > len(data) {
-		w = len(data)
-	}
-	if cap(g.parEvals) < w {
-		pe := make([]*solution.Eval, w)
-		copy(pe, g.parEvals)
-		g.parEvals = pe
-	}
-	evals := g.parEvals[:w]
-	chunk := (len(data) + w - 1) / w
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if lo >= hi {
-			break
-		}
-		if evals[k] == nil {
-			evals[k] = solution.NewEval(g.in, s)
-		} else if evals[k].Solution() != s {
-			evals[k].Reset(g.in, s)
-		}
-		evals[k].Stats = g.SpliceStats
-		wg.Add(1)
-		go func(e *solution.Eval, data []MoveData, objs []solution.Objectives) {
-			defer wg.Done()
-			for i, d := range data {
-				obj, ok := d.Delta(g.in, s, e)
-				if !ok {
-					g.DeltaStats.Fallback()
-					obj = d.Apply(g.in, s).Obj
-				} else {
-					g.DeltaStats.Fast()
-				}
-				objs[i] = obj
-			}
-		}(evals[k], data[lo:hi], objs[lo:hi])
-	}
-	wg.Wait()
 }
 
 // arcOK is the paper's local feasibility test for a newly created arc

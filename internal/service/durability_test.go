@@ -110,6 +110,69 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalReplaysLegacyEvalWorkersSpec pins compatibility with
+// journals written while JobSpec still carried the removed eval_workers
+// knob: recovery decodes records leniently, so a mid-run job whose submit
+// record names it is requeued and finishes bit-identically to the same
+// spec run on a fresh service.
+func TestJournalReplaysLegacyEvalWorkersSpec(t *testing.T) {
+	spec := smallSpec()
+	spec.Algorithm = "synchronous"
+	spec.Processors = 3
+	spec.GranularK = 6
+
+	refSvc := New(durableConfig(t))
+	refJob, err := refSvc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, refJob, StateDone)
+	ref := refJob.Result()
+	refSvc.Close()
+
+	// The journal a crash left behind: the job was submitted with the
+	// knob (serialized where the old JobSpec put it) and had started.
+	submit, err := json.Marshal(journalRecord{Type: "submit", Job: "j000001", Spec: &spec, TS: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(submit), `"granular_k":6`, `"granular_k":6,"eval_workers":4`, 1)
+	if legacy == string(submit) {
+		t.Fatal("submit record has no granular_k field to place eval_workers after")
+	}
+	start, err := json.Marshal(journalRecord{Type: "start", Job: "j000001", TS: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := durableConfig(t)
+	if err := os.WriteFile(filepath.Join(cfg.DataDir, "journal.jsonl"), []byte(legacy+"\n"+string(start)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("recovery refused a legacy journal: %v", err)
+	}
+	defer svc.Close()
+	if got := svc.Stats().Requeued; got != 1 {
+		t.Fatalf("requeued jobs: got %d, want 1", got)
+	}
+	j, ok := svc.Job("j000001")
+	if !ok {
+		t.Fatal("legacy job not recovered")
+	}
+	waitState(t, j, StateDone)
+	res := j.Result()
+	if res.Evaluations != ref.Evaluations || len(res.Front) != len(ref.Front) {
+		t.Fatalf("replayed run: %d evals, %d front points; reference %d, %d",
+			res.Evaluations, len(res.Front), ref.Evaluations, len(ref.Front))
+	}
+	for i := range ref.Front {
+		if res.Front[i].Obj != ref.Front[i].Obj {
+			t.Errorf("front[%d] objectives: replayed %+v, reference %+v", i, res.Front[i].Obj, ref.Front[i].Obj)
+		}
+	}
+}
+
 // TestDurableRestartServesResults drains a durable service and reopens its
 // data directory: finished jobs must come back terminal, still serving
 // their persisted fronts and totals.

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -292,6 +293,18 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	resp = postJob(t, base, JobSpec{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty spec: %s; want 400", resp.Status)
+	}
+	resp.Body.Close()
+
+	// Unknown fields are rejected, including the removed eval_workers knob.
+	resp, err = http.Post(base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"instance":{"class":"R1","n":40,"seed":3},"max_evaluations":1500,"eval_workers":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(msg), `unknown field \"eval_workers\"`) {
+		t.Errorf("spec with eval_workers: %s %s; want 400 naming the field", resp.Status, msg)
 	}
 	resp.Body.Close()
 

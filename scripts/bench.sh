@@ -15,10 +15,9 @@
 #                          off vs on at the service's default snapshot
 #                          interval, and the relative overhead (<2% target)
 #   BENCH_granular.json  — granular vs full searcher iteration on the
-#                          400-customer instance (k=20, neighborhood 200),
-#                          the parallel-eval variant, and the raw candidate
-#                          sweeps; the tracked target is <=150µs and <=10
-#                          allocs per granular iteration
+#                          400-customer instance (k=20, neighborhood 200)
+#                          and the raw candidate sweeps; the tracked target
+#                          is <=150µs and <=10 allocs per granular iteration
 #   BENCH_dynamic.json   — mutation-replay benchmarks: splice+repair
 #                          latency (p50/p99; tracked target p99 < 10ms for
 #                          a single mutation on a 400-customer instance),
@@ -165,8 +164,8 @@ awk '
 echo "wrote BENCH_checkpoint.json"
 
 # The granular engine report: the headline granular searcher iteration
-# against the full-neighborhood baseline and the opt-in parallel evaluator,
-# plus the raw 400-customer candidate sweeps (reused-buffer, both modes).
+# against the full-neighborhood baseline, plus the raw 400-customer
+# candidate sweeps (reused-buffer, both modes).
 archive BENCH_granular.json
 awk '
   /^BenchmarkSearcherIteration-|^BenchmarkSearcherIteration / {
@@ -174,9 +173,6 @@ awk '
   }
   /^BenchmarkSearcherIterationFull/ {
     for (i = 2; i <= NF; i++) { if ($i == "ns/op") fns = $(i-1); if ($i == "allocs/op") fa = $(i-1) }
-  }
-  /^BenchmarkSearcherIterationParallel/ {
-    for (i = 2; i <= NF; i++) { if ($i == "ns/op") pns = $(i-1); if ($i == "allocs/op") pa = $(i-1) }
   }
   /^BenchmarkCandidatesInto400/ {
     for (i = 2; i <= NF; i++) { if ($i == "ns/op") cfns = $(i-1); if ($i == "allocs/op") cfa = $(i-1) }
@@ -190,8 +186,6 @@ awk '
     printf "  \"benchmark\": \"BenchmarkSearcherIteration (R1, N=400, neighborhood 200, k=20)\",\n"
     printf "  \"granular\": {\"ns_per_op\": %s, \"allocs_per_op\": %s},\n", gns, ga
     printf "  \"full\": {\"ns_per_op\": %s, \"allocs_per_op\": %s},\n", fns, fa
-    if (pns != "")
-      printf "  \"parallel_eval4\": {\"ns_per_op\": %s, \"allocs_per_op\": %s},\n", pns, pa
     if (cfns != "")
       printf "  \"sweep_full_400\": {\"ns_per_op\": %s, \"allocs_per_op\": %s},\n", cfns, cfa
     if (cgns != "")
